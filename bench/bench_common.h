@@ -1,7 +1,6 @@
 #ifndef FAB_BENCH_BENCH_COMMON_H_
 #define FAB_BENCH_BENCH_COMMON_H_
 
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -14,6 +13,7 @@
 #include "util/obs/clock.h"
 #include "util/obs/metrics.h"
 #include "util/status.h"
+#include "util/string_util.h"
 
 namespace fab::bench {
 
@@ -41,23 +41,6 @@ T DieIfError(Result<T> result, const char* what) {
 }
 
 namespace internal {
-
-inline std::string JsonNumber(double v) {
-  if (!std::isfinite(v)) return v > 0 ? "\"inf\"" : (v < 0 ? "\"-inf\"" : "\"nan\"");
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-inline std::string JsonString(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
 
 /// Best-effort current commit: FAB_GIT_SHA env override first (CI sets
 /// it), then `git rev-parse HEAD`, else "unknown".
@@ -102,7 +85,7 @@ class BenchReporter {
   void set_iters(uint64_t n) { iters_ = n; }
 
   void AddScalar(const std::string& key, double value) {
-    entries_.emplace_back(key, internal::JsonNumber(value));
+    entries_.emplace_back(key, JsonNumber(value));
   }
 
   /// Attaches an already-rendered JSON value (object/array) verbatim.
@@ -117,16 +100,16 @@ class BenchReporter {
             : obs::Clock::MicrosBetween(constructed_, obs::Clock::Now()) /
                   1000.0;
     std::string out = "{";
-    out += "\"name\":" + internal::JsonString(name_);
-    out += ",\"git_sha\":" + internal::JsonString(internal::GitSha());
-    out += ",\"wall_ms\":" + internal::JsonNumber(wall_ms);
+    out += "\"name\":" + EscapeJson(name_);
+    out += ",\"git_sha\":" + EscapeJson(internal::GitSha());
+    out += ",\"wall_ms\":" + JsonNumber(wall_ms);
     out += ",\"iters\":" + std::to_string(iters_);
     out += ",\"results\":{";
     bool first = true;
     for (const auto& [key, value] : entries_) {
       if (!first) out += ",";
       first = false;
-      out += internal::JsonString(key) + ":" + value;
+      out += EscapeJson(key) + ":" + value;
     }
     out += "},\"metrics\":" + obs::ExportMetrics();
     out += "}\n";

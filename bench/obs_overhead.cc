@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <future>
+#include <memory>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -53,21 +54,27 @@ fab::ml::ColMatrix MakeMatrix(size_t n, size_t f, uint64_t seed) {
 /// Submit→complete rows/s through a BatchServer under the current obs
 /// configuration — the serving path every span/sample rides in prod.
 double ServeRowsPerSec(fab::serve::BatchServer& server,
+                       const std::shared_ptr<const fab::serve::Servable>& model,
                        const fab::ml::ColMatrix& queries) {
+  using Forecasts = fab::Result<std::vector<double>>;
   const auto start = fab::obs::Clock::Now();
-  std::vector<std::future<fab::Result<double>>> pending;
+  std::vector<std::future<Forecasts>> pending;
   pending.reserve(queries.rows());
   for (size_t i = 0; i < queries.rows(); ++i) {
     const fab::obs::ScopedTraceId scope(fab::obs::MintTraceId());
-    std::vector<double> row(queries.cols());
-    for (size_t j = 0; j < queries.cols(); ++j) row[j] = queries.at(i, j);
-    auto submitted = server.Submit(std::move(row));
-    if (submitted.ok()) pending.push_back(std::move(*submitted));
+    // One 1-row request per row, each awaited through a local promise
+    // around its completion callback.
+    auto done = std::make_shared<std::promise<Forecasts>>();
+    std::future<Forecasts> forecast = done->get_future();
+    const fab::Status submitted = server.Submit(
+        model, queries.TakeRows({static_cast<int>(i)}),
+        [done](Forecasts result) { done->set_value(std::move(result)); });
+    if (submitted.ok()) pending.push_back(std::move(forecast));
   }
   double sum = 0.0;
   for (auto& f : pending) {
-    auto result = f.get();
-    if (result.ok()) sum += *result;
+    const Forecasts result = f.get();
+    if (result.ok()) sum += result->front();
   }
   g_sink = sum;
   const auto end = fab::obs::Clock::Now();
@@ -130,18 +137,18 @@ int main(int argc, char** argv) {
   options.num_threads = 2;
   options.max_batch = 128;
   options.coalesce_wait_us = 100;
-  fab::serve::BatchServer server(servable, options);
+  fab::serve::BatchServer server(options);
 
   // Warm up the batch threads and code paths before the measured runs.
-  (void)ServeRowsPerSec(server, queries);
+  (void)ServeRowsPerSec(server, servable, queries);
 
-  const double serve_off = ServeRowsPerSec(server, queries);
+  const double serve_off = ServeRowsPerSec(server, servable, queries);
 
   fab::obs::FlightSetEnabled(true);
-  const double serve_flight = ServeRowsPerSec(server, queries);
+  const double serve_flight = ServeRowsPerSec(server, servable, queries);
 
   fab::obs::StartTracing();
-  const double serve_trace = ServeRowsPerSec(server, queries);
+  const double serve_trace = ServeRowsPerSec(server, servable, queries);
   fab::obs::StopTracing();
   fab::obs::FlightSetEnabled(false);
 

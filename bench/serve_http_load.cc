@@ -15,7 +15,7 @@
 // best observed goodput and asserts the admission-control contract:
 //   - the server sheds (429s with Retry-After) instead of collapsing,
 //   - it keeps serving (some 200s),
-//   - the admitted queue-wait p99 (from /statusz) stays within the
+//   - the admitted queue-wait p99 (from /rpcz) stays within the
 //     configured SLO times a documented slack factor.
 // Exits non-zero if any acceptance check fails; writes
 // BENCH_serve_http.json via BenchReporter either way.
@@ -193,16 +193,16 @@ StepResult RunStep(uint16_t port, double qps, double seconds, int threads,
   return result;
 }
 
-/// Max per-shard admitted queue-wait p99, read back through /statusz —
+/// Max per-shard admitted queue-wait p99, read back through /rpcz —
 /// the same telemetry an operator would alert on.
-double StatuszQueueWaitP99Us(uint16_t port) {
+double RpczQueueWaitP99Us(uint16_t port) {
   fab::net::HttpClient client("127.0.0.1", port);
-  fab::Result<fab::net::HttpResponse> response = client.Get("/statusz");
+  fab::Result<fab::net::HttpResponse> response = client.Get("/rpcz");
   if (!response.ok() || response->status_code != 200) return -1.0;
   fab::Result<fab::net::JsonValue> doc =
       fab::net::ParseJson(response->body);
   if (!doc.ok()) return -1.0;
-  const fab::net::JsonValue* router = doc->Find("router");
+  const fab::net::JsonValue* router = doc->Find("shards");
   const fab::net::JsonValue* shards =
       router != nullptr ? router->Find("shards") : nullptr;
   if (shards == nullptr || !shards->is_array()) return -1.0;
@@ -317,7 +317,7 @@ int main(int argc, char** argv) {
               overload_qps);
   const StepResult overload =
       RunStep(port, overload_qps, kOverloadSeconds, kThreads, bodies);
-  const double p99_queue_wait_us = StatuszQueueWaitP99Us(port);
+  const double p99_queue_wait_us = RpczQueueWaitP99Us(port);
   total_requests +=
       static_cast<uint64_t>(overload.ok + overload.shed + overload.failed);
   std::printf(
@@ -351,7 +351,7 @@ int main(int argc, char** argv) {
     fail("at least one 429 lacked a Retry-After >= 1");
   }
   if (overload.failed > 0) fail("transport errors / unexpected statuses");
-  if (p99_queue_wait_us < 0.0) fail("/statusz unreadable");
+  if (p99_queue_wait_us < 0.0) fail("/rpcz unreadable");
   if (p99_queue_wait_us > kSloQueueWaitUs * kSloSlack) {
     fail("admitted queue-wait p99 blew through the SLO slack budget");
   }

@@ -11,6 +11,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <future>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -48,6 +50,8 @@ fab::ml::ColMatrix MakeMatrix(size_t n, size_t f, uint64_t seed) {
 
 /// Defeats dead-code elimination.
 volatile double g_sink = 0.0;
+
+using Forecasts = fab::Result<std::vector<double>>;
 
 }  // namespace
 
@@ -151,19 +155,29 @@ int main(int argc, char** argv) {
   options.num_threads = 2;
   options.max_batch = 128;
   options.coalesce_wait_us = 100;
-  fab::serve::BatchServer server(*servable, options);
+  fab::serve::BatchServer server(options);
 
   const size_t kServerRequests = std::min<size_t>(kRows, 20000);
   constexpr int kClients = 4;
   std::vector<std::thread> clients;
   for (int c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      std::vector<double> features(kFeatures);
       for (size_t r = static_cast<size_t>(c); r < kServerRequests;
            r += kClients) {
-        for (size_t j = 0; j < kFeatures; ++j) features[j] = queries.at(r, j);
-        auto result = server.Forecast(features);
-        if (result.ok()) g_sink = *result;
+        // Closed loop: each client waits for its 1-row request through a
+        // local promise around the completion callback.
+        auto done = std::make_shared<std::promise<Forecasts>>();
+        std::future<Forecasts> forecast = done->get_future();
+        if (!server
+                 .Submit(*servable, queries.TakeRows({static_cast<int>(r)}),
+                         [done](Forecasts result) {
+                           done->set_value(std::move(result));
+                         })
+                 .ok()) {
+          continue;
+        }
+        const Forecasts result = forecast.get();
+        if (result.ok()) g_sink = result->front();
       }
     });
   }

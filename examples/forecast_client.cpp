@@ -2,7 +2,7 @@
 // forecast server (see forecast_server --serve).
 //
 //   ./forecast_client [--trace] <port> healthz
-//   ./forecast_client [--trace] <port> statusz
+//   ./forecast_client [--trace] <port> rpcz
 //   ./forecast_client [--trace] <port> predict <period> <window> <model> [rows=4]
 //
 // Talks HTTP/1.1 over a keep-alive net::HttpClient — the sanctioned
@@ -34,7 +34,7 @@ constexpr size_t kFeatures = 12;
 int Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--trace] <port> healthz\n"
-               "       %s [--trace] <port> statusz\n"
+               "       %s [--trace] <port> rpcz\n"
                "       %s [--trace] <port> predict <period> <window> <model> "
                "[rows]\n",
                argv0, argv0, argv0);
@@ -89,8 +89,8 @@ int main(int argc, char** argv) {
       fab::Status::InvalidArgument("unknown command");
   if (command == "healthz") {
     response = client.Get("/healthz");
-  } else if (command == "statusz") {
-    response = client.Get("/statusz");
+  } else if (command == "rpcz") {
+    response = client.Get("/rpcz");
   } else if (command == "predict") {
     if (argc < 6) return Usage(argv[0]);
     const std::string period = argv[3];

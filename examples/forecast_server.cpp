@@ -5,8 +5,8 @@
 //   2. Install them into a ModelRegistry as versioned snapshots on disk.
 //   3. Stand up the fab::net stack — ShardedRouter (2 admission-controlled
 //      BatchServer shards) + ForecastService + HttpServer on an ephemeral
-//      port — and exercise /healthz, /predict and /statusz through the
-//      sanctioned HttpClient.
+//      port — and exercise /healthz and /predict through the sanctioned
+//      HttpClient.
 //   4. Drive a trace-tagged request and read it back through the live
 //      debug surfaces: /tracez (its span tree out of the flight
 //      recorder), /rpcz (per-endpoint + per-shard stats), /metricsz
@@ -217,21 +217,6 @@ int main(int argc, char** argv) {
   Predict(client, kXgbKey, 4, 12);
   Predict(client, kMlpKey, 4, 13);
 
-  auto statusz = client.Get("/statusz");
-  Die(statusz.status(), "GET /statusz");
-  DieIf(statusz->status_code != 200, "/statusz did not return 200");
-  auto statusz_doc = net::ParseJson(statusz->body);
-  Die(statusz_doc.status(), "parse /statusz");
-  const net::JsonValue* router_json = statusz_doc->Find("router");
-  DieIf(router_json == nullptr, "/statusz missing router");
-  auto num_shards = router_json->GetNumber("num_shards");
-  Die(num_shards.status(), "/statusz missing num_shards");
-  DieIf(static_cast<size_t>(*num_shards) != (*router)->num_shards(),
-        "/statusz shard count mismatch");
-  std::printf("GET /statusz -> %d (%zu shards reported, %zu bytes)\n",
-              statusz->status_code, static_cast<size_t>(*num_shards),
-              statusz->body.size());
-
   // --- 5. Debug surfaces: /tracez, /rpcz, /metricsz. -----------------------
   // Tag one request with a minted trace id (HttpClient attaches it as
   // x-fab-trace; the server adopts it), then pull exactly that request's
@@ -270,9 +255,14 @@ int main(int argc, char** argv) {
   const net::JsonValue* shards_json = rpcz_doc->Find("shards");
   DieIf(shards_json == nullptr || shards_json->Find("shards") == nullptr,
         "/rpcz missing shard section");
+  auto num_shards = shards_json->GetNumber("num_shards");
+  Die(num_shards.status(), "/rpcz missing num_shards");
+  DieIf(static_cast<size_t>(*num_shards) != (*router)->num_shards(),
+        "/rpcz shard count mismatch");
   DieIf(rpcz->body.find("/predict") == std::string::npos,
         "/rpcz has no /predict endpoint stats");
-  std::printf("GET /rpcz -> %d (%zu bytes)\n", rpcz->status_code,
+  std::printf("GET /rpcz -> %d (%zu shards reported, %zu bytes)\n",
+              rpcz->status_code, static_cast<size_t>(*num_shards),
               rpcz->body.size());
 
   auto metricsz = client.Get("/metricsz");

@@ -11,6 +11,7 @@
 
 #include "core/experiments.h"
 #include "util/obs/trace.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace fab::core {
@@ -294,20 +295,6 @@ CellOutcome EvaluateCell(const SweepOptions& options, const RegimeSpec& regime,
   return out;
 }
 
-std::string EscapeJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (c == '\n') {
-      out += "\\n";
-      continue;
-    }
-    out.push_back(c);
-  }
-  return out;
-}
-
 std::string FormatRate(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.6f", v);
@@ -536,8 +523,8 @@ std::string SweepReport::ToJson() const {
   json += "  \"properties\": [\n";
   for (size_t i = 0; i < properties.size(); ++i) {
     const PropertyStat& p = properties[i];
-    json += "    {\"property\": \"" + EscapeJson(p.property) +
-            "\", \"checked\": " + std::to_string(p.checked) +
+    json += "    {\"property\": " + EscapeJson(p.property) +
+            ", \"checked\": " + std::to_string(p.checked) +
             ", \"passed\": " + std::to_string(p.passed) + "}";
     json += i + 1 < properties.size() ? ",\n" : "\n";
   }
@@ -545,8 +532,8 @@ std::string SweepReport::ToJson() const {
   json += "  \"regimes_detail\": [\n";
   for (size_t i = 0; i < regimes.size(); ++i) {
     const RegimeReport& r = regimes[i];
-    json += "    {\"regime\": \"" + EscapeJson(r.regime) +
-            "\", \"cells\": " + std::to_string(r.cells) +
+    json += "    {\"regime\": " + EscapeJson(r.regime) +
+            ", \"cells\": " + std::to_string(r.cells) +
             ", \"cell_errors\": " + std::to_string(r.cell_errors) +
             ", \"checks\": " + std::to_string(r.checks) +
             ", \"passed\": " + std::to_string(r.passed) + "}";
@@ -556,19 +543,19 @@ std::string SweepReport::ToJson() const {
   json += "  \"violations\": [\n";
   for (size_t i = 0; i < violations.size(); ++i) {
     const PropertyViolation& v = violations[i];
-    json += "    {\"property\": \"" + EscapeJson(v.property) +
-            "\", \"regime\": \"" + EscapeJson(v.regime) +
-            "\", \"seed\": " + std::to_string(v.seed) + ", \"scenario\": \"" +
-            EscapeJson(v.scenario) + "\", \"detail\": \"" +
-            EscapeJson(v.detail) + "\", \"repro\": \"" +
+    json += "    {\"property\": " + EscapeJson(v.property) +
+            ", \"regime\": " + EscapeJson(v.regime) +
+            ", \"seed\": " + std::to_string(v.seed) +
+            ", \"scenario\": " + EscapeJson(v.scenario) +
+            ", \"detail\": " + EscapeJson(v.detail) + ", \"repro\": " +
             EscapeJson("fab_sweep --seed0 " + std::to_string(v.seed) +
                        " --seeds 1 --regimes " + v.regime) +
-            "\"}";
+            "}";
     json += i + 1 < violations.size() ? ",\n" : "\n";
   }
   json += "  ]";
   if (!first_error.empty()) {
-    json += ",\n  \"first_error\": \"" + EscapeJson(first_error) + "\"";
+    json += ",\n  \"first_error\": " + EscapeJson(first_error);
   }
   json += "\n}\n";
   return json;

@@ -1,8 +1,6 @@
 #include "net/debugz.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <utility>
@@ -11,17 +9,11 @@
 #include "util/obs/metrics.h"
 #include "util/obs/trace.h"
 #include "util/obs/trace_context.h"
+#include "util/string_util.h"
 
 namespace fab::net {
 
 namespace {
-
-std::string JsonNumber(double v) {
-  if (!std::isfinite(v)) return v > 0 ? "\"inf\"" : (v < 0 ? "\"-inf\"" : "\"nan\"");
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6f", v);
-  return buf;
-}
 
 /// Value of `key` in the request target's query string ("" when absent).
 /// Values are used as numbers/hex ids only, so no %-decoding.

@@ -1,29 +1,18 @@
 #include "net/forecast_service.h"
 
-#include <atomic>
 #include <cmath>
-#include <cstdio>
-#include <memory>
+#include <limits>
+#include <utility>
 #include <vector>
 
+#include "ml/matrix.h"
 #include "net/json.h"
-#include "util/mutex.h"
-#include "util/obs/metrics.h"
 #include "util/obs/trace.h"
-#include "util/thread_annotations.h"
+#include "util/string_util.h"
 
 namespace fab::net {
 
 namespace {
-
-std::string JsonNumber(double v) {
-  if (!std::isfinite(v)) {
-    return v > 0 ? "\"inf\"" : (v < 0 ? "\"-inf\"" : "\"nan\"");
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 HttpResponse ErrorResponse(const Status& status) {
   return HttpResponse::Json(
@@ -31,58 +20,75 @@ HttpResponse ErrorResponse(const Status& status) {
       "{\"error\":" + EscapeJson(status.ToString()) + "}");
 }
 
-/// Shared completion state for one /predict request: rows fan out to
-/// the shard's BatchServer, callbacks land here, and whichever
-/// completion drives `remaining` to zero serializes and sends the
-/// response. Row slots are index-owned (each callback writes only
-/// forecasts[i]), so the only cross-thread coordination is the counter
-/// and the first-error latch.
-struct PredictState {
-  std::vector<double> forecasts;
-  std::atomic<size_t> remaining{0};
-  Responder responder;
-  size_t shard = 0;
-  int retry_after_s = 1;
-
-  util::Mutex mu;
-  Status first_error FAB_GUARDED_BY(mu);
-
-  explicit PredictState(Responder r) : responder(std::move(r)) {}
-
-  void RecordError(const Status& status) {
-    util::MutexLock lock(mu);
-    if (first_error.ok()) first_error = status;
+/// Sends `status` as a JSON error; a 429 carries Retry-After.
+void SendError(const Responder& responder, const Status& status,
+               int retry_after_s) {
+  HttpResponse response = ErrorResponse(status);
+  if (response.status_code == 429) {
+    response.headers.emplace_back("Retry-After",
+                                  std::to_string(retry_after_s));
   }
+  responder.Send(std::move(response));
+}
 
-  /// Called exactly once, by whoever completes the last row.
-  void Finish() {
-    Status error;
-    {
-      util::MutexLock lock(mu);
-      error = first_error;
-    }
-    if (!error.ok()) {
-      HttpResponse response = ErrorResponse(error);
-      if (response.status_code == 429) {
-        response.headers.emplace_back("Retry-After",
-                                      std::to_string(retry_after_s));
-      }
-      responder.Send(std::move(response));
-      return;
-    }
-    std::string body = "{\"forecasts\":[";
-    for (size_t i = 0; i < forecasts.size(); ++i) {
-      if (i != 0) body += ",";
-      body += JsonNumber(forecasts[i]);
-    }
-    body += "],\"shard\":" + std::to_string(shard) + "}";
-    responder.Send(HttpResponse::Json(200, std::move(body)));
-  }
-
-  void CompleteOne() {
-    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) Finish();
-  }
+/// A validated /predict body: the scenario key and its rows as one
+/// matrix.
+struct PredictBody {
+  serve::ModelKey key;
+  ml::ColMatrix rows;
 };
+
+Result<PredictBody> ParsePredictBody(const std::string& text) {
+  FAB_ASSIGN_OR_RETURN(JsonValue doc, ParseJson(text));
+  Result<std::string> period = doc.GetString("period");
+  Result<std::string> model = doc.GetString("model");
+  Result<double> window = doc.GetNumber("window");
+  if (!period.ok() || !model.ok() || !window.ok()) {
+    return Status::InvalidArgument(
+        "body requires string \"period\", string \"model\" and number "
+        "\"window\"");
+  }
+  // Range first: converting an out-of-range double to int is undefined.
+  if (!(*window >= 1.0 &&
+        *window <= static_cast<double>(std::numeric_limits<int>::max()) &&
+        *window == std::floor(*window))) {
+    return Status::InvalidArgument("\"window\" must be a positive integer");
+  }
+  PredictBody body;
+  body.key.period = std::move(*period);
+  body.key.model = std::move(*model);
+  body.key.window = static_cast<int>(*window);
+
+  const JsonValue* rows = doc.Find("rows");
+  if (rows == nullptr || !rows->is_array() || rows->array().empty()) {
+    return Status::InvalidArgument(
+        "body requires a non-empty \"rows\" array of feature arrays");
+  }
+  const std::vector<JsonValue>& list = rows->array();
+  const size_t width =
+      list.front().is_array() ? list.front().array().size() : 0;
+  body.rows = ml::ColMatrix(list.size(), width);
+  for (size_t r = 0; r < list.size(); ++r) {
+    if (!list[r].is_array()) {
+      return Status::InvalidArgument(
+          "every \"rows\" entry must be an array of numbers");
+    }
+    const std::vector<JsonValue>& row = list[r].array();
+    if (row.size() != width) {
+      return Status::InvalidArgument(
+          "ragged rows: row " + std::to_string(r) + " has " +
+          std::to_string(row.size()) + " features, row 0 has " +
+          std::to_string(width));
+    }
+    for (size_t c = 0; c < width; ++c) {
+      if (!row[c].is_number()) {
+        return Status::InvalidArgument("every feature must be a number");
+      }
+      body.rows.set(r, c, row[c].number());
+    }
+  }
+  return body;
+}
 
 }  // namespace
 
@@ -102,10 +108,6 @@ void ForecastService::RegisterRoutes(HttpServer* server) {
                  [this](const HttpRequest& request, Responder responder) {
                    HandlePredict(request, std::move(responder));
                  });
-  server->Handle("GET", "/statusz",
-                 [this](const HttpRequest& request, Responder responder) {
-                   HandleStatusz(request, std::move(responder));
-                 });
   server->Handle("GET", "/healthz",
                  [this](const HttpRequest& request, Responder responder) {
                    HandleHealthz(request, std::move(responder));
@@ -117,98 +119,32 @@ void ForecastService::RegisterRoutes(HttpServer* server) {
 void ForecastService::HandlePredict(const HttpRequest& request,
                                     Responder responder) {
   FAB_TRACE_SCOPE("net/predict");
-  Result<JsonValue> parsed = ParseJson(request.body);
-  if (!parsed.ok()) {
-    responder.Send(ErrorResponse(parsed.status()));
+  Result<PredictBody> body = ParsePredictBody(request.body);
+  if (!body.ok()) {
+    responder.Send(ErrorResponse(body.status()));
     return;
   }
-  const JsonValue& doc = *parsed;
-
-  serve::ModelKey key;
-  Result<std::string> period = doc.GetString("period");
-  Result<std::string> model = doc.GetString("model");
-  Result<double> window = doc.GetNumber("window");
-  if (!period.ok() || !model.ok() || !window.ok()) {
-    responder.Send(ErrorResponse(Status::InvalidArgument(
-        "body requires string \"period\", string \"model\" and number "
-        "\"window\"")));
-    return;
-  }
-  key.period = std::move(*period);
-  key.model = std::move(*model);
-  key.window = static_cast<int>(*window);
-  if (static_cast<double>(key.window) != *window || key.window < 1) {
-    responder.Send(ErrorResponse(
-        Status::InvalidArgument("\"window\" must be a positive integer")));
-    return;
-  }
-
-  const JsonValue* rows = doc.Find("rows");
-  if (rows == nullptr || !rows->is_array() || rows->array().empty()) {
-    responder.Send(ErrorResponse(Status::InvalidArgument(
-        "body requires a non-empty \"rows\" array of feature arrays")));
-    return;
-  }
-  std::vector<std::vector<double>> features;
-  features.reserve(rows->array().size());
-  for (const JsonValue& row : rows->array()) {
-    if (!row.is_array()) {
-      responder.Send(ErrorResponse(Status::InvalidArgument(
-          "every \"rows\" entry must be an array of numbers")));
-      return;
-    }
-    std::vector<double> values;
-    values.reserve(row.array().size());
-    for (const JsonValue& cell : row.array()) {
-      if (!cell.is_number()) {
-        responder.Send(ErrorResponse(Status::InvalidArgument(
-            "every feature must be a number")));
-        return;
-      }
-      values.push_back(cell.number());
-    }
-    features.push_back(std::move(values));
-  }
-
-  auto state = std::make_shared<PredictState>(std::move(responder));
-  const size_t n = features.size();
-  state->forecasts.assign(n, 0.0);
-  state->shard = router_->ShardFor(key);
-  state->retry_after_s = router_->RetryAfterSeconds(state->shard);
-  // +1 sentinel held by this handler: Finish cannot fire until every
-  // row has been submitted (or synchronously refused), no matter how
-  // fast the callbacks land.
-  state->remaining.store(n + 1, std::memory_order_relaxed);
-
-  for (size_t i = 0; i < n; ++i) {
-    Admission admission = Admission::kAdmitted;
-    const Status submitted = router_->Submit(
-        key, std::move(features[i]),
-        [state, i](Result<double> result) {
-          if (result.ok()) {
-            state->forecasts[i] = *result;
-          } else {
-            state->RecordError(result.status());
-          }
-          state->CompleteOne();
-        },
-        &admission);
-    if (!submitted.ok()) {
-      // Callback never fires for a refused row: settle it here.
-      state->RecordError(submitted);
-      state->CompleteOne();
-    }
-  }
-  state->CompleteOne();  // release the sentinel
-}
-
-void ForecastService::HandleStatusz(const HttpRequest& request,
-                                    Responder responder) {
-  (void)request;
-  FAB_TRACE_SCOPE("net/statusz");
-  std::string body = "{\"router\":" + router_->StatszJson() +
-                     ",\"metrics\":" + obs::ExportMetrics() + "}";
-  responder.Send(HttpResponse::Json(200, std::move(body)));
+  const size_t shard = router_->ShardFor(body->key);
+  const int retry_after_s = router_->RetryAfterSeconds(shard);
+  // One request, one callback: it answers the exchange with every
+  // row's forecast, or with the error that ended the request.
+  const Status submitted = router_->Submit(
+      body->key, std::move(body->rows),
+      [responder, shard, retry_after_s](Result<std::vector<double>> result) {
+        if (!result.ok()) {
+          SendError(responder, result.status(), retry_after_s);
+          return;
+        }
+        std::string out = "{\"forecasts\":[";
+        for (size_t i = 0; i < result->size(); ++i) {
+          if (i != 0) out += ",";
+          out += JsonNumber((*result)[i]);
+        }
+        out += "],\"shard\":" + std::to_string(shard) + "}";
+        responder.Send(HttpResponse::Json(200, std::move(out)));
+      });
+  // A refused request never reaches the callback: answer it here.
+  if (!submitted.ok()) SendError(responder, submitted, retry_after_s);
 }
 
 void ForecastService::HandleHealthz(const HttpRequest& request,

@@ -21,31 +21,31 @@ int HttpStatusFor(const Status& status);
 ///   POST /predict   {"period":"2017","window":7,"model":"rf",
 ///                    "rows":[[f0,f1,...],...]}
 ///                   → 200 {"forecasts":[...],"shard":N}
+///                   → 400 {"error":...} for a malformed body, ragged
+///                     rows, or more rows than a shard queue holds
 ///                   → 429 {"error":...} + Retry-After when shedding
-///   GET  /statusz   router shard statsz + full obs metrics export
 ///   GET  /healthz   200 {"status":"ok"}
 ///
 /// RegisterRoutes also mounts the DebugService surfaces (/tracez, /rpcz,
 /// /metricsz) on the same server, so every forecast front-end is
 /// debuggable out of the box.
 ///
-/// Handlers are non-blocking: /predict fans each row into the shard's
-/// BatchServer via SubmitWithCallback and the LAST completion serializes
-/// and sends the response — no handler thread ever parks on a forecast,
-/// which is what lets a small worker pool sustain thousands of in-flight
-/// rows. Stateless apart from the router pointer; thread-safe.
+/// Handlers are non-blocking: /predict submits the body's rows to the
+/// shard's BatchServer as one request, and the request's completion
+/// callback serializes and sends the response — no handler thread ever
+/// parks on a forecast, which is what lets a small worker pool sustain
+/// thousands of in-flight requests. Stateless apart from the router
+/// pointer; thread-safe.
 class ForecastService {
  public:
   /// `router` is borrowed and must outlive the service.
   explicit ForecastService(ShardedRouter* router) : router_(router) {}
 
-  /// Registers /predict, /statusz and /healthz on `server`, plus the
-  /// DebugService routes (/tracez, /rpcz, /metricsz). Call before
-  /// HttpServer::Start.
+  /// Registers /predict and /healthz on `server`, plus the DebugService
+  /// routes (/tracez, /rpcz, /metricsz). Call before HttpServer::Start.
   void RegisterRoutes(HttpServer* server);
 
   void HandlePredict(const HttpRequest& request, Responder responder);
-  void HandleStatusz(const HttpRequest& request, Responder responder);
   void HandleHealthz(const HttpRequest& request, Responder responder);
 
  private:

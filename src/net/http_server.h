@@ -210,7 +210,7 @@ class HttpServer {
   util::Mutex lifecycle_mu_;
   std::thread io_thread_ FAB_GUARDED_BY(lifecycle_mu_);
 
-  // Server-wide telemetry (process registry, scraped via /statusz).
+  // Server-wide telemetry (process registry, scraped via /metricsz).
   obs::Counter& accepted_ = obs::GetCounter("net/http/accepted");
   obs::Counter& requests_ = obs::GetCounter("net/http/requests");
   obs::Counter& responses_ = obs::GetCounter("net/http/responses");

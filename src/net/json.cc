@@ -1,7 +1,7 @@
 #include "net/json.h"
 
 #include <cctype>
-#include <cstdio>
+#include <cmath>
 #include <cstdlib>
 
 namespace fab::net {
@@ -232,6 +232,12 @@ class JsonParser {
       pos_ = start;
       return Error("malformed number");
     }
+    // strtod saturates an overflowing literal (1e999) to ±inf, which no
+    // JSON document can spell; RFC 8259 §9 lets a parser limit the range.
+    if (!std::isfinite(parsed)) {
+      pos_ = start;
+      return Error("number out of range");
+    }
     JsonValue v;
     v.type_ = JsonValue::Type::kNumber;
     v.number_ = parsed;
@@ -245,31 +251,6 @@ class JsonParser {
 
 Result<JsonValue> ParseJson(const std::string& text, int max_depth) {
   return JsonParser(text, max_depth).Parse();
-}
-
-std::string EscapeJson(const std::string& s) {
-  std::string out = "\"";
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
 }
 
 }  // namespace fab::net

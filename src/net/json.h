@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "util/status.h"
+#include "util/string_util.h"
 
 namespace fab::net {
 
@@ -15,9 +16,8 @@ namespace fab::net {
 /// Recursive-descent parsed (ParseJson below), depth- and size-bounded so
 /// a hostile request body cannot recurse the stack away or allocate
 /// unboundedly. The serving layer only *reads* JSON through this type;
-/// response JSON is rendered with the same hand-built string style the
-/// rest of the codebase uses (bench_common, StatszJson), so there is no
-/// writer here beyond EscapeJson.
+/// response JSON is hand-built with the util/string_util writers
+/// (JsonNumber, EscapeJson), so there is no writer here.
 class JsonValue {
  public:
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -62,8 +62,10 @@ class JsonValue {
 /// bounded by the HTTP layer's body limit before it ever reaches here.
 [[nodiscard]] Result<JsonValue> ParseJson(const std::string& text, int max_depth = 64);
 
-/// Renders `s` as a double-quoted JSON string literal (with escapes).
-std::string EscapeJson(const std::string& s);
+/// Renders `s` as a double-quoted JSON string literal (with escapes):
+/// the util/string_util writer, kept reachable as net::EscapeJson for
+/// the callers that spell it that way.
+using fab::EscapeJson;
 
 }  // namespace fab::net
 

@@ -104,10 +104,7 @@ Result<std::unique_ptr<ShardedRouter>> ShardedRouter::Create(
     server_options.max_queue = options.max_shard_queue;
     server_options.shutdown_drain_ms = options.shutdown_drain_ms;
     Shard& shard = router->shards_[i];
-    // Keyed-only serving: no default model, every submit carries its
-    // registry servable.
-    shard.server =
-        std::make_unique<serve::BatchServer>(nullptr, server_options);
+    shard.server = std::make_unique<serve::BatchServer>(server_options);
     const std::string prefix = "net/shard" + std::to_string(i);
     shard.admitted = &obs::GetCounter(prefix + "/admitted");
     shard.shed_full = &obs::GetCounter(prefix + "/shed_queue_full");
@@ -120,9 +117,14 @@ size_t ShardedRouter::ShardFor(const serve::ModelKey& key) const {
   return ShardOf(key, shards_.size());
 }
 
-Admission ShardedRouter::Admit(const Shard& shard) const {
+Status ShardedRouter::Admit(size_t index, size_t rows) const {
+  const Shard& shard = shards_[index];
   const size_t depth = shard.server->QueueDepth();
-  if (depth >= options_.max_shard_queue) return Admission::kShedQueueFull;
+  if (depth + rows > options_.max_shard_queue) {
+    shard.shed_full->Increment(rows);
+    return Status::Unavailable("shard " + std::to_string(index) +
+                               " queue full");
+  }
   if (options_.slo_queue_wait_us > 0.0) {
     // Two signals: the live EMA-based prediction, and the obs-histogram
     // p99 of realized queue waits. The p99 arm is gated on current depth
@@ -133,46 +135,38 @@ Admission ShardedRouter::Admit(const Shard& shard) const {
       worst = std::max(worst,
                        shard.server->Stats().p99_queue_wait_us);
     }
-    if (worst > options_.slo_queue_wait_us) return Admission::kShedSlo;
+    if (worst > options_.slo_queue_wait_us) {
+      shard.shed_slo->Increment(rows);
+      return Status::Unavailable("shard " + std::to_string(index) +
+                                 " over queue-wait SLO");
+    }
   }
-  return Admission::kAdmitted;
+  return Status::OK();
 }
 
-Status ShardedRouter::Submit(const serve::ModelKey& key,
-                             std::vector<double> features,
-                             serve::BatchServer::Callback done,
-                             Admission* admission) {
-  if (admission != nullptr) *admission = Admission::kAdmitted;
+Status ShardedRouter::Submit(const serve::ModelKey& key, ml::ColMatrix rows,
+                             serve::BatchServer::Callback done) {
   const size_t index = ShardFor(key);
   Shard& shard = shards_[index];
-
-  Result<std::shared_ptr<const serve::Servable>> servable =
-      registry_->Get(key);
-  if (!servable.ok()) return servable.status();
-
-  const Admission verdict = Admit(shard);
-  if (verdict == Admission::kShedQueueFull) {
-    if (admission != nullptr) *admission = verdict;
-    shard.shed_full->Increment();
-    return Status::Unavailable("shard " + std::to_string(index) +
-                               " queue full");
+  FAB_ASSIGN_OR_RETURN(std::shared_ptr<const serve::Servable> servable,
+                       registry_->Get(key));
+  const size_t n = rows.rows();
+  // Checked before admission: a request larger than the queue bound
+  // would shed on every retry, so it is the client's error, not load.
+  if (n > options_.max_shard_queue) {
+    return Status::InvalidArgument(
+        std::to_string(n) + " rows exceed the shard queue bound of " +
+        std::to_string(options_.max_shard_queue));
   }
-  if (verdict == Admission::kShedSlo) {
-    if (admission != nullptr) *admission = verdict;
-    shard.shed_slo->Increment();
-    return Status::Unavailable("shard " + std::to_string(index) +
-                               " over queue-wait SLO");
-  }
-
-  Status submitted = shard.server->SubmitWithCallback(
-      std::move(*servable), std::move(features), std::move(done));
+  FAB_RETURN_IF_ERROR(Admit(index, n));
+  Status submitted = shard.server->Submit(std::move(servable),
+                                          std::move(rows), std::move(done));
   if (submitted.ok()) {
-    shard.admitted->Increment();
+    shard.admitted->Increment(n);
   } else if (submitted.code() == StatusCode::kUnavailable) {
     // Lost the race against concurrent admits: the queue filled between
     // the check and the enqueue. Same verdict as a front-door shed.
-    if (admission != nullptr) *admission = Admission::kShedQueueFull;
-    shard.shed_full->Increment();
+    shard.shed_full->Increment(n);
   }
   return submitted;
 }

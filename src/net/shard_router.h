@@ -33,7 +33,9 @@ struct ShardedRouterOptions {
   /// Per-shard BatchServer batching knobs.
   size_t max_batch = 64;
   int coalesce_wait_us = 200;
-  /// Hard per-shard queue bound: submits beyond it shed (HTTP 429).
+  /// Hard per-shard queue bound, in rows: a request whose rows do not
+  /// fit sheds (HTTP 429); one with more rows than the bound can never
+  /// fit and is refused as invalid (HTTP 400).
   size_t max_shard_queue = 256;
   /// Admission SLO: when a shard's predicted queue wait exceeds this,
   /// new requests shed before latency collapses. 0 disables the check.
@@ -44,14 +46,6 @@ struct ShardedRouterOptions {
   size_t slo_low_watermark = 8;
   /// Drain budget handed to each shard's BatchServer at shutdown.
   int shutdown_drain_ms = 2000;
-};
-
-/// Why a request was (not) admitted; the HTTP layer maps kShedQueueFull
-/// and kShedSlo to 429 + Retry-After.
-enum class Admission {
-  kAdmitted,
-  kShedQueueFull,
-  kShedSlo,
 };
 
 /// Routes scenario keys across a fixed set of admission-controlled
@@ -81,14 +75,16 @@ class ShardedRouter {
   ShardedRouter(const ShardedRouter&) = delete;
   ShardedRouter& operator=(const ShardedRouter&) = delete;
 
-  /// Admission-checked asynchronous forecast: resolves `key` in the
-  /// registry, applies the shard's admission predicate, and enqueues
-  /// onto the shard's BatchServer. The callback fires exactly once on
-  /// admitted requests. `admission` (optional) reports the verdict;
-  /// sheds return kUnavailable, unknown keys kNotFound.
-  [[nodiscard]] Status Submit(const serve::ModelKey& key, std::vector<double> features,
-                serve::BatchServer::Callback done,
-                Admission* admission = nullptr);
+  /// Admission-checked asynchronous forecast of every row of `rows`:
+  /// resolves `key` in the registry once, applies the shard's admission
+  /// predicate once, and enqueues the rows onto the shard's BatchServer
+  /// as one request — admitted whole or shed whole, and served by one
+  /// model generation. The callback fires exactly once on admitted
+  /// requests. Unknown keys return kNotFound, sheds kUnavailable (the
+  /// per-shard shed_queue_full / shed_slo counters say which), and
+  /// requests no shard could ever hold kInvalidArgument.
+  [[nodiscard]] Status Submit(const serve::ModelKey& key, ml::ColMatrix rows,
+                              serve::BatchServer::Callback done);
 
   /// Shard index serving `key` under this router's layout.
   size_t ShardFor(const serve::ModelKey& key) const;
@@ -97,7 +93,8 @@ class ShardedRouter {
   /// shard's predicted queue wait, rounded up — what Retry-After carries.
   int RetryAfterSeconds(size_t shard) const;
 
-  /// Aggregated JSON: per-shard BatchServer statsz + admission counters.
+  /// Aggregated JSON: per-shard BatchServer statsz + admission counters
+  /// (admitted, shed_queue_full, shed_slo — all in rows).
   std::string StatszJson() const;
 
   /// Drains every shard's queue under its deadline (see
@@ -113,16 +110,18 @@ class ShardedRouter {
  private:
   struct Shard {
     std::unique_ptr<serve::BatchServer> server;
-    obs::Counter* admitted = nullptr;   ///< registry-owned
-    obs::Counter* shed_full = nullptr;  ///< registry-owned
-    obs::Counter* shed_slo = nullptr;   ///< registry-owned
+    obs::Counter* admitted = nullptr;   ///< registry-owned, rows
+    obs::Counter* shed_full = nullptr;  ///< registry-owned, rows
+    obs::Counter* shed_slo = nullptr;   ///< registry-owned, rows
   };
 
   ShardedRouter(serve::ModelRegistry* registry,
                 const ShardedRouterOptions& options);
 
-  /// The admission predicate; kAdmitted means "enqueue now".
-  Admission Admit(const Shard& shard) const;
+  /// The admission predicate for a request of `rows` rows on shard
+  /// `index`: OK means "enqueue now"; a shed bumps the shard's counter
+  /// and returns kUnavailable.
+  [[nodiscard]] Status Admit(size_t index, size_t rows) const;
 
   serve::ModelRegistry* const registry_;
   const ShardedRouterOptions options_;

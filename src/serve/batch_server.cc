@@ -2,25 +2,17 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <utility>
 
 #include "util/obs/flight.h"
 #include "util/obs/trace.h"
 #include "util/obs/trace_context.h"
+#include "util/string_util.h"
 #include "util/thread_pool.h"
 
 namespace fab::serve {
 
 namespace {
-
-std::string JsonNumber(double v) {
-  if (!std::isfinite(v)) return v > 0 ? "\"inf\"" : (v < 0 ? "\"-inf\"" : "\"nan\"");
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
 
 /// EMA update via relaxed CAS: workers race, each applies its own sample,
 /// and any interleaving yields a valid smoothed estimate.
@@ -34,11 +26,8 @@ void EmaUpdate(std::atomic<double>& ema, double sample, double alpha) {
 
 }  // namespace
 
-BatchServer::BatchServer(std::shared_ptr<const Servable> model,
-                         const BatchServerOptions& options)
-    : options_(options),
-      num_features_(model != nullptr ? model->num_features() : 0),
-      model_(std::move(model)) {
+BatchServer::BatchServer(const BatchServerOptions& options)
+    : options_(options) {
   Start();
 }
 
@@ -91,6 +80,7 @@ void BatchServer::Shutdown() {
       abandoned.push_back(std::move(queue_.front()));
       queue_.pop_front();
     }
+    queued_rows_ = 0;
   }
   cv_.NotifyAll();
   for (std::thread& worker : workers_) {
@@ -100,45 +90,74 @@ void BatchServer::Shutdown() {
   // Accepted requests are never silently lost: each one left at the
   // drain deadline resolves with an explicit error, after the workers
   // are gone (so completion order is deterministic per request).
-  requests_abandoned_.fetch_add(abandoned.size(), std::memory_order_relaxed);
   for (Request& request : abandoned) {
+    requests_abandoned_.fetch_add(request.rows.rows(),
+                                  std::memory_order_relaxed);
     Complete(std::move(request),
              Status::Unavailable("shutdown deadline: request not served"));
   }
 }
 
-void BatchServer::Complete(Request request, Result<double> result) {
-  // Re-install the request's trace context: callbacks (PredictState
-  // completion, Responder::Send) run on a batch worker or the shutdown
-  // thread, neither of which carries it naturally.
+void BatchServer::Complete(Request request,
+                           Result<std::vector<double>> result) {
+  // Re-install the request's trace context: callbacks (Responder::Send)
+  // run on a batch worker or the shutdown thread, neither of which
+  // carries it naturally.
   obs::ScopedTraceId scope(request.trace_id);
-  if (request.callback) {
-    request.callback(std::move(result));
-  } else {
-    request.promise.set_value(std::move(result));
+  request.callback(std::move(result));
+}
+
+Status BatchServer::Submit(std::shared_ptr<const Servable> model,
+                           ml::ColMatrix rows, Callback done) {
+  if (model == nullptr) {
+    return Status::InvalidArgument("Submit requires a non-null model");
   }
+  if (!done) {
+    return Status::InvalidArgument("Submit requires a completion callback");
+  }
+  if (rows.rows() == 0) {
+    return Status::InvalidArgument("Submit requires at least one row");
+  }
+  const size_t expected = model->num_features();
+  if (expected != 0 && rows.cols() != expected) {
+    return Status::InvalidArgument(
+        "feature count mismatch: got " + std::to_string(rows.cols()) +
+        ", model expects " + std::to_string(expected));
+  }
+  // Not a 429: no amount of waiting makes room for this request.
+  if (options_.max_queue != 0 && rows.rows() > options_.max_queue) {
+    return Status::InvalidArgument(
+        std::to_string(rows.rows()) + " rows exceed the queue bound of " +
+        std::to_string(options_.max_queue));
+  }
+  return Enqueue(Request{std::move(model), std::move(rows), std::move(done),
+                         obs::Clock::Now(), obs::CurrentTraceId()});
 }
 
 // fablint:hot — per-request admission; runs under mu_ on every Submit.
 Status BatchServer::Enqueue(Request request) {
+  const size_t rows = request.rows.rows();
   {
     util::MutexLock lock(mu_);
     if (stopping_) {
       return Status::FailedPrecondition("server is shut down");
     }
-    if (options_.max_queue != 0 && queue_.size() >= options_.max_queue) {
-      requests_rejected_.fetch_add(1, std::memory_order_relaxed);
+    if (options_.max_queue != 0 && queued_rows_ + rows > options_.max_queue) {
+      requests_rejected_.fetch_add(rows, std::memory_order_relaxed);
       // Shed path only: the request is rejected, so formatting the
       // diagnostic is off the served-request path by construction.
       return Status::Unavailable(
           // fablint:allow(perf-hot-alloc)
-          "queue full: " + std::to_string(queue_.size()) + " of " +
+          "queue full: " + std::to_string(queued_rows_) + " of " +
           // fablint:allow(perf-hot-alloc)
-          std::to_string(options_.max_queue) + " slots in use");
+          std::to_string(options_.max_queue) + " row slots in use, " +
+          // fablint:allow(perf-hot-alloc)
+          std::to_string(rows) + " requested");
     }
     // Deque block allocation is amortized and bounded by max_queue; no
     // reserve() exists on std::deque. fablint:allow(perf-hot-alloc)
     queue_.push_back(std::move(request));
+    queued_rows_ += rows;
   }
   {
     util::MutexLock lock(stats_mu_);
@@ -152,95 +171,15 @@ Status BatchServer::Enqueue(Request request) {
 }
 // fablint:endhot
 
-Result<std::future<Result<double>>> BatchServer::Submit(
-    std::vector<double> features) {
-  const size_t expected = num_features_.load();
-  if (expected != 0 && features.size() != expected) {
-    return Status::InvalidArgument(
-        "feature count mismatch: got " + std::to_string(features.size()) +
-        ", model expects " + std::to_string(expected));
-  }
-  Request request;
-  request.features = std::move(features);
-  request.enqueued = obs::Clock::Now();
-  request.trace_id = obs::CurrentTraceId();
-  std::future<Result<double>> future = request.promise.get_future();
-  FAB_RETURN_IF_ERROR(Enqueue(std::move(request)));
-  return future;
-}
-
-Result<std::future<Result<double>>> BatchServer::SubmitTo(
-    std::shared_ptr<const Servable> model, std::vector<double> features) {
-  if (model == nullptr) {
-    return Status::InvalidArgument("SubmitTo requires a non-null model");
-  }
-  const size_t expected = model->num_features();
-  if (expected != 0 && features.size() != expected) {
-    return Status::InvalidArgument(
-        "feature count mismatch: got " + std::to_string(features.size()) +
-        ", model expects " + std::to_string(expected));
-  }
-  Request request;
-  request.features = std::move(features);
-  request.model = std::move(model);
-  request.enqueued = obs::Clock::Now();
-  request.trace_id = obs::CurrentTraceId();
-  std::future<Result<double>> future = request.promise.get_future();
-  FAB_RETURN_IF_ERROR(Enqueue(std::move(request)));
-  return future;
-}
-
-Status BatchServer::SubmitWithCallback(std::shared_ptr<const Servable> model,
-                                       std::vector<double> features,
-                                       Callback done) {
-  if (model == nullptr) {
-    return Status::InvalidArgument(
-        "SubmitWithCallback requires a non-null model");
-  }
-  if (!done) {
-    return Status::InvalidArgument(
-        "SubmitWithCallback requires a completion callback");
-  }
-  const size_t expected = model->num_features();
-  if (expected != 0 && features.size() != expected) {
-    return Status::InvalidArgument(
-        "feature count mismatch: got " + std::to_string(features.size()) +
-        ", model expects " + std::to_string(expected));
-  }
-  Request request;
-  request.features = std::move(features);
-  request.model = std::move(model);
-  request.callback = std::move(done);
-  request.enqueued = obs::Clock::Now();
-  request.trace_id = obs::CurrentTraceId();
-  return Enqueue(std::move(request));
-}
-
-Result<double> BatchServer::Forecast(std::vector<double> features) {
-  FAB_ASSIGN_OR_RETURN(std::future<Result<double>> future,
-                       Submit(std::move(features)));
-  return future.get();
-}
-
-void BatchServer::UpdateModel(std::shared_ptr<const Servable> model) {
-  util::MutexLock lock(mu_);
-  model_ = std::move(model);
-  if (model_ != nullptr) num_features_ = model_->num_features();
-}
-
 size_t BatchServer::QueueDepth() const {
   util::MutexLock lock(mu_);
-  return queue_.size();
+  return queued_rows_;
 }
 
 double BatchServer::EstimatedQueueWaitUs() const {
   const double row_us = ema_row_service_us_.load(std::memory_order_relaxed);
   if (row_us <= 0.0) return 0.0;
-  size_t depth;
-  {
-    util::MutexLock lock(mu_);
-    depth = queue_.size();
-  }
+  const size_t depth = QueueDepth();
   const int threads = util::ResolveThreads(options_.num_threads);
   return static_cast<double>(depth) * row_us /
          static_cast<double>(threads > 0 ? threads : 1);
@@ -249,7 +188,6 @@ double BatchServer::EstimatedQueueWaitUs() const {
 void BatchServer::WorkerLoop() {
   while (true) {
     std::vector<Request> batch;
-    std::shared_ptr<const Servable> model;
     {
       util::MutexLock lock(mu_);
       // Explicit wait loops over FAB_GUARDED_BY state (no predicate
@@ -257,73 +195,90 @@ void BatchServer::WorkerLoop() {
       // stopping_ happens with mu_ held.
       while (!stopping_ && queue_.empty()) cv_.Wait(mu_);
       if (queue_.empty()) return;  // stopping and fully drained
-      if (queue_.size() < options_.max_batch && options_.coalesce_wait_us > 0 &&
+      if (queued_rows_ < options_.max_batch && options_.coalesce_wait_us > 0 &&
           !stopping_) {
-        // Hold the batch open briefly so bursty single-row traffic
-        // coalesces instead of running one row at a time.
+        // Hold the batch open briefly so bursty small requests coalesce
+        // instead of running one at a time.
         const auto deadline =
             obs::Clock::Now() +
             std::chrono::microseconds(options_.coalesce_wait_us);
-        while (!stopping_ && queue_.size() < options_.max_batch) {
+        while (!stopping_ && queued_rows_ < options_.max_batch) {
           if (!cv_.WaitUntil(mu_, deadline)) break;  // timed out
         }
         // Another worker may have drained the queue while we waited.
         if (queue_.empty()) continue;
       }
-      // Extract the maximal same-model run: rows for the front request's
-      // effective model coalesce into one batch; requests for other
-      // models are put back in their original relative order and picked
-      // up by the next extraction. A default-model request (null model)
-      // and an explicit submit to that same servable batch together.
-      model = queue_.front().model != nullptr ? queue_.front().model : model_;
+      // Extract the maximal run of requests for the front request's
+      // model and row width, up to max_batch rows. The front request
+      // always goes in, however many rows it has; extraction stops at
+      // the first matching request that would overflow the batch, so
+      // same-model requests keep their FIFO order. Requests for other
+      // models or widths are put back in their original relative order
+      // and picked up by the next extraction.
+      batch.push_back(std::move(queue_.front()));
+      queue_.pop_front();
+      const Servable* model = batch.front().model.get();
+      const size_t cols = batch.front().rows.cols();
+      size_t rows = batch.front().rows.rows();
       std::vector<Request> skipped;
-      while (!queue_.empty() && batch.size() < options_.max_batch) {
-        Request request = std::move(queue_.front());
-        queue_.pop_front();
-        const Servable* effective =
-            request.model != nullptr ? request.model.get() : model_.get();
-        if (effective == model.get()) {
-          batch.push_back(std::move(request));
+      while (!queue_.empty() && rows < options_.max_batch) {
+        Request& next = queue_.front();
+        if (next.model.get() != model || next.rows.cols() != cols) {
+          skipped.push_back(std::move(next));
+        } else if (rows + next.rows.rows() <= options_.max_batch) {
+          rows += next.rows.rows();
+          batch.push_back(std::move(next));
         } else {
-          skipped.push_back(std::move(request));
+          break;
         }
+        queue_.pop_front();
       }
+      queued_rows_ -= rows;
       for (auto it = skipped.rbegin(); it != skipped.rend(); ++it) {
         queue_.push_front(std::move(*it));
       }
       if (!skipped.empty()) cv_.NotifyOne();  // other-model work remains
       if (queue_.empty()) drained_cv_.NotifyAll();
     }
-    if (!batch.empty()) RunBatch(std::move(batch), model);
+    RunBatch(std::move(batch));
   }
 }
 
-void BatchServer::RunBatch(std::vector<Request> batch,
-                           const std::shared_ptr<const Servable>& model) {
-  const size_t rows = batch.size();
+void BatchServer::RunBatch(std::vector<Request> batch) {
+  const Servable& model = *batch.front().model;
+  size_t rows = 0;
+  for (const Request& request : batch) rows += request.rows.rows();
   FAB_TRACE_SCOPE("serve/batch", {{"rows", rows}});
   // Queue wait ends here: the requests just left the queue for a batch.
   const obs::Clock::time_point batch_start = obs::Clock::Now();
   for (const Request& request : batch) {
     // Explicit trace id: the batch thread has no request context of its
-    // own, but each row remembers who submitted it.
+    // own, but each request remembers who submitted it.
     queue_wait_us_hist_.Record(
         obs::Clock::MicrosBetween(request.enqueued, batch_start),
         request.trace_id);
   }
   batch_size_hist_.Record(static_cast<double>(rows));
-  const size_t expected =
-      model != nullptr ? model->num_features() : num_features_.load();
-  const size_t cols = expected != 0 ? expected : batch.front().features.size();
-  ml::ColMatrix x(rows, cols);
-  for (size_t r = 0; r < rows; ++r) {
-    const std::vector<double>& features = batch[r].features;
-    for (size_t c = 0; c < cols && c < features.size(); ++c) {
-      x.set(r, c, features[c]);
+  // A lone request's matrix is the batch as it stands; coalesced
+  // requests are stacked row-wise into one matrix for one kernel sweep.
+  std::vector<double> pred;
+  if (batch.size() == 1) {
+    pred = model.Predict(batch.front().rows);
+  } else {
+    const size_t cols = batch.front().rows.cols();
+    ml::ColMatrix x(rows, cols);
+    size_t offset = 0;
+    for (const Request& request : batch) {
+      for (size_t c = 0; c < cols; ++c) {
+        const std::vector<double>& column = request.rows.column(c);
+        std::copy(column.begin(), column.end(),
+                  x.mutable_column(c).begin() +
+                      static_cast<std::ptrdiff_t>(offset));
+      }
+      offset += request.rows.rows();
     }
+    pred = model.Predict(x);
   }
-  std::vector<double> pred =
-      model != nullptr ? model->Predict(x) : std::vector<double>(rows, 0.0);
   const obs::Clock::time_point done = obs::Clock::Now();
   // Feed the admission estimator: per-row service time for this batch.
   EmaUpdate(ema_row_service_us_,
@@ -331,9 +286,9 @@ void BatchServer::RunBatch(std::vector<Request> batch,
                 static_cast<double>(rows),
             /*alpha=*/0.25);
   // End-to-end latency lands in the bounded histogram — no sample cap,
-  // no unbounded vector, O(1) memory for any request volume. Each row
-  // also drops a per-request span into the flight ring: the shard-batch
-  // leg of the request's /tracez span tree (enqueue → completion).
+  // no unbounded vector, O(1) memory for any request volume. Each
+  // request also drops a span into the flight ring: the shard-batch leg
+  // of the request's /tracez span tree (enqueue → completion).
   for (const Request& request : batch) {
     latency_us_hist_.Record(obs::Clock::MicrosBetween(request.enqueued, done),
                             request.trace_id);
@@ -341,15 +296,20 @@ void BatchServer::RunBatch(std::vector<Request> batch,
                           done);
   }
   {
-    // Record stats before fulfilling the promises: once a caller's future
-    // resolves, a subsequent Stats() call must already count that request.
+    // Record stats before completing: once a caller's callback fires, a
+    // subsequent Stats() call must already count that request.
     util::MutexLock lock(stats_mu_);
     requests_completed_ += rows;
     batches_run_ += 1;
     last_complete_ = done;
   }
-  for (size_t r = 0; r < rows; ++r) {
-    Complete(std::move(batch[r]), pred[r]);
+  size_t offset = 0;
+  for (Request& request : batch) {
+    const auto first = pred.begin() + static_cast<std::ptrdiff_t>(offset);
+    offset += request.rows.rows();
+    Complete(std::move(request),
+             std::vector<double>(
+                 first, pred.begin() + static_cast<std::ptrdiff_t>(offset)));
   }
 }
 

@@ -5,12 +5,12 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "ml/matrix.h"
 #include "serve/servable.h"
 #include "util/mutex.h"
 #include "util/obs/clock.h"
@@ -24,16 +24,18 @@ struct BatchServerOptions {
   /// Worker threads draining the request queue, under the
   /// util::ResolveThreads convention (0 = hardware concurrency).
   int num_threads = 0;
-  /// Upper bound on rows coalesced into one inference batch.
+  /// Upper bound on rows coalesced into one inference batch. A request
+  /// with more rows than this runs as a batch of its own; requests are
+  /// never split.
   size_t max_batch = 64;
   /// How long a worker holding a non-full batch waits for more requests
   /// before running what it has (0 = run immediately).
   int coalesce_wait_us = 200;
-  /// Upper bound on queued-but-not-yet-batched requests (0 = unbounded).
-  /// When full, Submit fails fast with kUnavailable instead of letting
-  /// the queue — and with it the queue-wait latency — grow without
-  /// limit. This is the hard backstop the fab::net admission layer
-  /// builds its softer SLO-based shedding on.
+  /// Upper bound on queued-but-not-yet-batched rows (0 = unbounded).
+  /// When a request's rows do not fit, Submit fails fast with
+  /// kUnavailable instead of letting the queue — and with it the
+  /// queue-wait latency — grow without limit. This is the hard backstop
+  /// the fab::net admission layer builds its softer SLO-based shedding on.
   size_t max_queue = 0;
   /// Shutdown drains already-accepted requests for at most this long;
   /// whatever is still queued at the deadline is completed with a
@@ -44,6 +46,11 @@ struct BatchServerOptions {
 
 /// Point-in-time serving counters.
 ///
+/// Every count is in rows: a request of n rows adds n to whichever of
+/// requests_completed, requests_rejected or requests_abandoned it ends
+/// in, so 1-row traffic reads as requests. The latency and queue-wait
+/// histograms take one sample per request.
+///
 /// Percentile fields are read out of fixed-footprint log-scale
 /// obs::Histograms (not raw samples), so memory stays bounded no matter
 /// how long the server runs. Approximation contract: each percentile is
@@ -53,17 +60,18 @@ struct BatchServerOptions {
 /// Counts, means, max and rows_per_sec are exact.
 struct BatchServerStats {
   uint64_t requests_completed = 0;
-  /// Submits refused at the door because the queue was at max_queue.
+  /// Submits refused at the door because their rows did not fit under
+  /// max_queue.
   uint64_t requests_rejected = 0;
   /// Accepted requests completed with an error at the shutdown-drain
-  /// deadline (never silently dropped: each one's future resolves).
+  /// deadline (never silently dropped: each one's callback fires).
   uint64_t requests_abandoned = 0;
   uint64_t batches_run = 0;
   /// requests_completed / batches_run.
   double mean_batch_size = 0.0;
   /// Batch-size distribution (rows per executed batch).
   double p99_batch_size = 0.0;
-  /// End-to-end (enqueue → promise fulfilled) latency percentiles, µs.
+  /// End-to-end (enqueue → callback) latency percentiles, µs.
   double p50_latency_us = 0.0;
   double p95_latency_us = 0.0;
   double p99_latency_us = 0.0;
@@ -72,33 +80,29 @@ struct BatchServerStats {
   /// before a worker picked the request into a batch).
   double p50_queue_wait_us = 0.0;
   double p99_queue_wait_us = 0.0;
-  /// Completed requests divided by the first-submit → last-completion span.
+  /// Completed rows divided by the first-submit → last-completion span.
   double rows_per_sec = 0.0;
 };
 
-/// A thread-pool-backed forecast server that coalesces single-row
-/// requests into batches and runs them through a Servable's batched
-/// kernel — the pattern that turns N queue-depth point lookups into one
+/// A thread-pool-backed forecast server that coalesces requests into
+/// batches and runs them through a Servable's batched kernel — the
+/// pattern that turns N queue-depth point lookups into one
 /// cache-friendly flat-forest sweep.
 ///
-/// Two serving modes share the queue and workers:
-///   * default-model: Submit(features) runs against the model installed
-///     at construction / by UpdateModel — the original single-model mode;
-///   * keyed: SubmitTo/SubmitWithCallback carry an explicit Servable, so
-///     one BatchServer can serve every scenario key of a fab::net shard.
-///     Workers extract maximal same-model runs from the queue, so rows
-///     for the same model still coalesce into one kernel sweep while
-///     rows for different models never mix in a batch.
+/// One request is one queue entry: a matrix of rows for one explicit
+/// Servable, answered by one callback. One BatchServer can therefore
+/// serve every scenario key of a fab::net shard. Workers extract
+/// maximal runs of entries for the same model and row width, up to
+/// max_batch rows, so requests for the same model still coalesce into
+/// one kernel sweep while requests for different models never mix in a
+/// batch. Every row of a request is served by the same model in the
+/// same batch.
 ///
-/// Completion is a Result<double>: the value on success, or the error
-/// that ended the request asynchronously (e.g. the shutdown-drain
-/// deadline). Thread-safe: any number of client threads may Submit
-/// concurrently; UpdateModel hot-swaps the served model without draining
-/// the queue (in-flight batches finish on the model they started with).
+/// Thread-safe: any number of client threads may Submit concurrently.
 ///
 /// Three capabilities, each compiler-checked via FAB_GUARDED_BY under
 /// `-DFAB_THREAD_SAFETY=ON`:
-///   * mu_            — request queue, served model, stop flag (the
+///   * mu_            — request queue, queued-row count, stop flag (the
 ///                      condition-variable predicates read only this
 ///                      guarded state, in explicit wait loops);
 ///   * stats_mu_      — serving counters and latency samples;
@@ -109,46 +113,31 @@ struct BatchServerStats {
 ///                      cross-TU lock-order rule watches the inverse).
 class BatchServer {
  public:
-  /// Invoked exactly once per accepted request with its forecast or the
-  /// terminal error. Runs on a worker thread (or on the thread driving
-  /// Shutdown, for deadline-abandoned requests): keep it cheap and never
-  /// call back into this BatchServer from inside it.
-  using Callback = std::function<void(Result<double>)>;
+  /// Invoked exactly once per accepted request with one forecast per
+  /// row, in row order, or the terminal error. Runs on a worker thread
+  /// (or on the thread driving Shutdown, for deadline-abandoned
+  /// requests): keep it cheap and never call back into this BatchServer
+  /// from inside it.
+  using Callback = std::function<void(Result<std::vector<double>>)>;
 
-  BatchServer(std::shared_ptr<const Servable> model,
-              const BatchServerOptions& options);
+  explicit BatchServer(const BatchServerOptions& options);
   ~BatchServer();
 
   BatchServer(const BatchServer&) = delete;
   BatchServer& operator=(const BatchServer&) = delete;
 
-  /// Enqueues one feature row against the default model; the future
-  /// resolves to the forecast or the asynchronous error. Fails fast
-  /// (before queueing) on a feature-count mismatch, a full queue, or
-  /// after Shutdown.
-  [[nodiscard]] Result<std::future<Result<double>>> Submit(std::vector<double> features)
+  /// Enqueues `rows` as one request against `model`. The returned
+  /// Status is the admission verdict, decided before anything is
+  /// queued: kInvalidArgument for a null model, a missing callback, no
+  /// rows, a width the model does not take, or more rows than max_queue
+  /// could ever hold; kUnavailable when the queue has no room for all
+  /// the rows; kFailedPrecondition after Shutdown. On OK, `done` fires
+  /// exactly once; on any error it never fires. No thread waits on the
+  /// forecast, which is what lets an HTTP front-end keep thousands of
+  /// requests in flight without parking a thread per request.
+  [[nodiscard]] Status Submit(std::shared_ptr<const Servable> model,
+                              ml::ColMatrix rows, Callback done)
       FAB_EXCLUDES(mu_);
-
-  /// Keyed variant: enqueues against an explicit model (fab::net shards
-  /// route many scenario keys into one BatchServer this way).
-  [[nodiscard]] Result<std::future<Result<double>>> SubmitTo(
-      std::shared_ptr<const Servable> model, std::vector<double> features)
-      FAB_EXCLUDES(mu_);
-
-  /// Callback-completed keyed submit: no future, no waiting thread. The
-  /// admission verdict is the returned Status; the forecast (or async
-  /// error) arrives through `done`. This is what lets an HTTP front-end
-  /// keep thousands of requests in flight without parking a thread per
-  /// request.
-  [[nodiscard]] Status SubmitWithCallback(std::shared_ptr<const Servable> model,
-                            std::vector<double> features, Callback done)
-      FAB_EXCLUDES(mu_);
-
-  /// Blocking convenience wrapper around Submit.
-  [[nodiscard]] Result<double> Forecast(std::vector<double> features);
-
-  /// Atomically replaces the served model (e.g. after a registry Reload).
-  void UpdateModel(std::shared_ptr<const Servable> model) FAB_EXCLUDES(mu_);
 
   /// (Re)spawns the worker threads after a Shutdown and starts accepting
   /// requests again. Idempotent while running; also run by the
@@ -169,26 +158,20 @@ class BatchServer {
   /// reporter ("statsz" in the /varz-/statsz debug-page tradition).
   std::string StatszJson() const;
 
-  /// Requests accepted but not yet picked into a batch.
+  /// Rows accepted but not yet picked into a batch.
   size_t QueueDepth() const FAB_EXCLUDES(mu_);
 
   /// Predicted queue wait for a request admitted right now, in µs:
-  /// current depth × the EMA per-row service time ÷ worker count. Zero
+  /// queued rows × the EMA per-row service time ÷ worker count. Zero
   /// until the first batch completes. The fab::net admission layer sheds
   /// load when this crosses the queue-wait SLO — before latency
   /// collapses, not after.
   double EstimatedQueueWaitUs() const FAB_EXCLUDES(mu_);
 
-  /// Feature count the served model expects (0 when unknown).
-  size_t num_features() const { return num_features_.load(); }
-
  private:
   struct Request {
-    std::vector<double> features;
-    /// Explicit model for keyed submits; null = default model, resolved
-    /// when a worker assembles the batch.
     std::shared_ptr<const Servable> model;
-    std::promise<Result<double>> promise;  ///< used when callback empty
+    ml::ColMatrix rows;
     Callback callback;
     obs::Clock::time_point enqueued;
     /// Trace context captured at submit time (obs::CurrentTraceId; 0 when
@@ -198,19 +181,16 @@ class BatchServer {
     uint64_t trace_id = 0;
   };
 
-  /// Fulfils a request exactly once, via callback or promise.
-  static void Complete(Request request, Result<double> result);
+  /// Fires a request's callback under its trace context.
+  static void Complete(Request request, Result<std::vector<double>> result);
 
-  /// Shared admission + enqueue path behind every Submit flavour.
+  /// Admission + enqueue of a validated request.
   [[nodiscard]] Status Enqueue(Request request) FAB_EXCLUDES(mu_);
 
   void WorkerLoop() FAB_EXCLUDES(mu_);
-  void RunBatch(std::vector<Request> batch,
-                const std::shared_ptr<const Servable>& model);
+  void RunBatch(std::vector<Request> batch);
 
   const BatchServerOptions options_;
-  /// Atomic: read lock-free on the Submit fast path, written by UpdateModel.
-  std::atomic<size_t> num_features_{0};
   /// EMA of per-row batch service time in µs (relaxed CAS updates from
   /// workers; feeds EstimatedQueueWaitUs).
   std::atomic<double> ema_row_service_us_{0.0};
@@ -221,7 +201,9 @@ class BatchServer {
   /// waits on it instead of polling.
   util::CondVar drained_cv_;
   std::deque<Request> queue_ FAB_GUARDED_BY(mu_);
-  std::shared_ptr<const Servable> model_ FAB_GUARDED_BY(mu_);
+  /// Total rows over queue_ — what max_queue, QueueDepth and the
+  /// coalescing wait count.
+  size_t queued_rows_ FAB_GUARDED_BY(mu_) = 0;
   bool stopping_ FAB_GUARDED_BY(mu_) = false;
 
   mutable util::Mutex stats_mu_;

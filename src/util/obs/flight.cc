@@ -6,14 +6,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 
 #include <fcntl.h>
 #include <unistd.h>
 
 namespace fab::obs {
-
-#if !defined(FAB_OBS_DISABLED)
 
 namespace {
 
@@ -327,28 +324,5 @@ Status FlightConfigureDump(const std::string& path) {
   (void)installed;
   return Status::OK();
 }
-
-#else  // FAB_OBS_DISABLED
-
-namespace {
-
-/// Disabled builds keep the dump contract alive with an empty, valid
-/// Chrome trace (mirrors WriteTrace in trace.cc).
-Status WriteEmptyTrace(const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot write flight dump file: " + path);
-  out << "{\"traceEvents\":[]}\n";
-  return Status::OK();
-}
-
-}  // namespace
-
-Status FlightDump(const std::string& path) { return WriteEmptyTrace(path); }
-
-Status FlightConfigureDump(const std::string& path) {
-  return WriteEmptyTrace(path);
-}
-
-#endif  // FAB_OBS_DISABLED
 
 }  // namespace fab::obs

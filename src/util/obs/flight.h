@@ -32,8 +32,7 @@
 /// forever — including from the signal handler.
 ///
 /// Cost per recorded span: two relaxed fetch_adds plus a handful of
-/// relaxed stores (~tens of ns). -DFAB_OBS=OFF compiles recording to a
-/// true no-op.
+/// relaxed stores (~tens of ns).
 namespace fab::obs {
 
 /// One completed span, as copied out of the ring by FlightSnapshot.
@@ -47,8 +46,6 @@ struct FlightSpan {
   int64_t dur_ns = 0;
   int tid = 0;
 };
-
-#if !defined(FAB_OBS_DISABLED)
 
 /// True when the ring accepts spans (capacity > 0 and not disabled by
 /// FlightSetEnabled). One relaxed load — safe on any hot path.
@@ -84,23 +81,6 @@ void FlightDumpToFd(int fd);
 /// it at static init, tests call it after fork). Whichever of crash or
 /// clean exit happens first writes the file exactly once.
 [[nodiscard]] Status FlightConfigureDump(const std::string& path);
-
-#else  // FAB_OBS_DISABLED: recording compiles to nothing.
-
-inline bool FlightEnabled() { return false; }
-inline void FlightSetEnabled(bool) {}
-inline size_t FlightCapacity() { return 0; }
-inline void FlightRecordSpan(const char*, uint64_t, Clock::time_point,
-                             Clock::time_point) {}
-inline std::vector<FlightSpan> FlightSnapshot() { return {}; }
-inline void FlightDumpToFd(int) {}
-/// Disabled builds still honour the dump entry points so the smoke path
-/// (dump + parse) works in every configuration: they write an empty,
-/// valid Chrome trace.
-[[nodiscard]] Status FlightDump(const std::string& path);
-[[nodiscard]] Status FlightConfigureDump(const std::string& path);
-
-#endif  // FAB_OBS_DISABLED
 
 }  // namespace fab::obs
 

@@ -15,6 +15,7 @@
 
 #include "util/obs/trace_context.h"
 #include "util/mutex.h"
+#include "util/string_util.h"
 #include "util/thread_annotations.h"
 
 namespace fab::obs {
@@ -49,25 +50,6 @@ void AtomicAdd(std::atomic<double>& a, double delta) {
   while (!a.compare_exchange_weak(cur, cur + delta,
                                   std::memory_order_relaxed)) {
   }
-}
-
-std::string JsonNumber(double v) {
-  if (!std::isfinite(v)) return v > 0 ? "\"inf\"" : (v < 0 ? "\"-inf\"" : "\"nan\"");
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-/// Metric names are code-controlled identifiers ("serve/latency_us");
-/// escape defensively anyway so the export is always valid JSON.
-std::string JsonString(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-  return out;
 }
 
 /// Bucket index for a positive value: floor(log2(v / kLowest) * 8),
@@ -162,21 +144,21 @@ class Registry {
     for (const auto& [name, counter] : snap.counters) {
       if (!first) out += ",";
       first = false;
-      out += JsonString(*name) + ":" + std::to_string(counter->Value());
+      out += EscapeJson(*name) + ":" + std::to_string(counter->Value());
     }
     out += "},\"gauges\":{";
     first = true;
     for (const auto& [name, gauge] : snap.gauges) {
       if (!first) out += ",";
       first = false;
-      out += JsonString(*name) + ":" + JsonNumber(gauge->Value());
+      out += EscapeJson(*name) + ":" + JsonNumber(gauge->Value());
     }
     out += "},\"histograms\":{";
     first = true;
     for (const auto& [name, histogram] : snap.histograms) {
       if (!first) out += ",";
       first = false;
-      out += JsonString(*name) + ":" + histogram->ToJson();
+      out += EscapeJson(*name) + ":" + histogram->ToJson();
     }
     out += "}}";
     return out;

@@ -10,11 +10,8 @@
 
 /// fab::obs metrics: named Counter / Gauge / Histogram instruments.
 ///
-/// Unlike the trace macros (trace.h), metrics are compiled in every build
-/// configuration — BatchServer's latency percentiles are part of its API
-/// and must work with FAB_OBS=OFF. Every instrument is a handful of
-/// relaxed/CAS atomics, cheap enough for hot paths; recording never
-/// blocks and never allocates.
+/// Every instrument is a handful of relaxed/CAS atomics, cheap enough
+/// for hot paths; recording never blocks and never allocates.
 ///
 /// Instruments can be owned directly (BatchServer holds its own
 /// Histograms so per-instance stats stay isolated) or fetched from the

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <atomic>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -16,59 +15,12 @@
 #include "util/obs/flight.h"
 #include "util/obs/trace_context.h"
 #include "util/mutex.h"
+#include "util/string_util.h"
 #include "util/thread_annotations.h"
 
 namespace fab::obs {
 
-#if !defined(FAB_OBS_DISABLED)
-
 namespace {
-
-/// Renders a double as a JSON number (non-finite values are quoted —
-/// bare NaN/Infinity would make the whole trace unparseable).
-std::string JsonNumber(double v) {
-  if (!std::isfinite(v)) return v > 0 ? "\"inf\"" : (v < 0 ? "\"-inf\"" : "\"nan\"");
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string JsonString(const std::string& s) {
-  return "\"" + JsonEscape(s) + "\"";
-}
 
 /// One begin or end record. `args` holds pre-rendered `"key":value`
 /// pairs (comma-separated, no surrounding braces) or is empty.
@@ -183,7 +135,7 @@ class Tracer {
         buffer->ForEach([&](const TraceEvent& event) {
           if (!first) out << ",";
           first = false;
-          out << "\n{\"name\":" << JsonString(event.name) << ",\"ph\":\""
+          out << "\n{\"name\":" << EscapeJson(event.name) << ",\"ph\":\""
               << event.phase << "\",\"ts\":"
               << JsonNumber(static_cast<double>(event.ts_ns) / 1000.0)
               << ",\"pid\":1,\"tid\":" << buffer->tid() << ",\"cat\":\"fab\"";
@@ -262,8 +214,8 @@ TraceValue::TraceValue(long long v) : json_(std::to_string(v)) {}
 TraceValue::TraceValue(unsigned int v) : json_(std::to_string(v)) {}
 TraceValue::TraceValue(unsigned long v) : json_(std::to_string(v)) {}
 TraceValue::TraceValue(unsigned long long v) : json_(std::to_string(v)) {}
-TraceValue::TraceValue(const char* s) : json_(JsonString(s)) {}
-TraceValue::TraceValue(const std::string& s) : json_(JsonString(s)) {}
+TraceValue::TraceValue(const char* s) : json_(EscapeJson(s)) {}
+TraceValue::TraceValue(const std::string& s) : json_(EscapeJson(s)) {}
 
 bool TraceEnabled() {
   return g_trace_enabled.load(std::memory_order_relaxed);
@@ -303,7 +255,7 @@ TraceSpan::TraceSpan(const char* name, std::initializer_list<TraceArg> args)
   std::string rendered = TraceIdArg(trace_id_);
   for (const TraceArg& arg : args) {
     if (!rendered.empty()) rendered += ",";
-    rendered += JsonString(arg.key) + ":" + arg.value.json();
+    rendered += EscapeJson(arg.key) + ":" + arg.value.json();
   }
   LocalBuffer().Append(TraceEvent{name_, 'B', NsAt(start_), std::move(rendered)});
 }
@@ -320,21 +272,7 @@ TraceSpan::~TraceSpan() {
 void TraceSpan::AddArg(const char* key, const TraceValue& value) {
   if (!active_) return;
   if (!end_args_.empty()) end_args_ += ",";
-  end_args_ += JsonString(key) + ":" + value.json();
+  end_args_ += EscapeJson(key) + ":" + value.json();
 }
-
-#else  // FAB_OBS_DISABLED
-
-/// The disabled build still honours WriteTrace so the FAB_TRACE smoke
-/// path (export + parse) works in every configuration: it produces an
-/// empty, valid Chrome trace.
-Status WriteTrace(const std::string& path) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot write trace file: " + path);
-  out << "{\"traceEvents\":[]}\n";
-  return Status::OK();
-}
-
-#endif  // FAB_OBS_DISABLED
 
 }  // namespace fab::obs

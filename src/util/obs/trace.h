@@ -22,17 +22,13 @@
 /// environment variable names a file, the process exports every buffered
 /// event at exit as Chrome trace_event JSON — loadable in chrome://tracing
 /// or https://ui.perfetto.dev. Collection costs nothing when FAB_TRACE is
-/// unset (one relaxed atomic load per span), and the macros compile to a
-/// true zero-cost no-op when the build disables observability
-/// (-DFAB_OBS=OFF, which defines FAB_OBS_DISABLED).
+/// unset (one relaxed atomic load per span).
 ///
 /// Determinism contract: trace timestamps are observability sink data
 /// only. Nothing in this header returns a clock value to the caller, so
 /// instrumented code cannot accidentally feed wall-clock time into a
 /// computation — goldens are bitwise identical with tracing off and on.
 namespace fab::obs {
-
-#if !defined(FAB_OBS_DISABLED)
 
 /// One span argument value, pre-rendered to a JSON token. Implicit
 /// constructors let call sites write {{"iter", i}, {"tag", "fra"}}.
@@ -111,50 +107,15 @@ class TraceSpan {
   std::string end_args_;  ///< accumulated `"key":value` pairs for the E event
 };
 
-#else  // FAB_OBS_DISABLED: every entry point is an empty inline no-op.
-
-class TraceValue {
- public:
-  template <typename T>
-  TraceValue(const T&) {}  // NOLINT(google-explicit-constructor)
-};
-
-struct TraceArg {
-  TraceArg(const char*, const TraceValue&) {}
-};
-
-inline bool TraceEnabled() { return false; }
-inline void StartTracing() {}
-inline void StopTracing() {}
-[[nodiscard]] Status WriteTrace(const std::string& path);  // writes an empty valid trace
-
-class TraceSpan {
- public:
-  explicit TraceSpan(const char*) {}
-  TraceSpan(const char*, std::initializer_list<TraceArg>) {}
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-  void AddArg(const char*, const TraceValue&) {}
-};
-
-#endif  // FAB_OBS_DISABLED
-
 }  // namespace fab::obs
 
 #define FAB_OBS_CONCAT_INNER_(a, b) a##b
 #define FAB_OBS_CONCAT_(a, b) FAB_OBS_CONCAT_INNER_(a, b)
 
-#if !defined(FAB_OBS_DISABLED)
 /// Opens a span covering the rest of the enclosing scope:
 ///   FAB_TRACE_SCOPE("stage/name");
 ///   FAB_TRACE_SCOPE("stage/name", {{"arg", value}});
 #define FAB_TRACE_SCOPE(...) \
   ::fab::obs::TraceSpan FAB_OBS_CONCAT_(fab_trace_span_, __LINE__)(__VA_ARGS__)
-#else
-/// Compiled out entirely: no object, no clock read, no code.
-#define FAB_TRACE_SCOPE(...) \
-  do {                       \
-  } while (false)
-#endif
 
 #endif  // FAB_UTIL_OBS_TRACE_H_

@@ -16,10 +16,7 @@
 /// stitch a request's spans across the IO thread, the handler pool,
 /// and the shard batch threads.
 ///
-/// This header is compiled in *every* build configuration, including
-/// -DFAB_OBS=OFF: metric exemplars and response-header echo still need
-/// the id even when span collection is compiled out. The cost when no
-/// request is in flight is one thread-local load.
+/// The cost when no request is in flight is one thread-local load.
 ///
 /// Determinism contract: ids are minted from a per-process salt and an
 /// atomic counter — no wall clock, no RNG — and never feed back into

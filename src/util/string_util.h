@@ -27,6 +27,15 @@ bool EndsWith(const std::string& s, const std::string& suffix);
 /// Formats a double with `precision` decimal places ("%.*f").
 std::string FormatDouble(double value, int precision);
 
+/// `v` as a JSON number: "%.17g", which round-trips every finite double.
+/// JSON has no spelling for NaN or infinities, so those render as the
+/// strings "nan", "inf" and "-inf" and the document stays parseable.
+std::string JsonNumber(double v);
+
+/// `s` as a double-quoted JSON string literal: '"', '\\' and every
+/// control character below 0x20 are escaped (RFC 8259 §7).
+std::string EscapeJson(const std::string& s);
+
 }  // namespace fab
 
 #endif  // FAB_UTIL_STRING_UTIL_H_

@@ -16,11 +16,9 @@ namespace {
 /// ParallelFor calls can detect they are already on a worker.
 thread_local bool t_in_pool_worker = false;
 
-#if !defined(FAB_OBS_DISABLED)
 // Pool telemetry (shared across pool instances — the interesting signal
 // is process-wide pressure on the shared pool). Fetched once; Record /
-// Add are lock-free. Compiled out entirely under FAB_OBS=OFF so the
-// worker loop carries no clock reads or atomics.
+// Add are lock-free.
 obs::Gauge& QueueDepthGauge() {
   static obs::Gauge& gauge = obs::GetGauge("threadpool/queue_depth");
   return gauge;
@@ -34,7 +32,6 @@ obs::Counter& TasksEnqueuedCounter() {
   static obs::Counter& counter = obs::GetCounter("threadpool/tasks_enqueued");
   return counter;
 }
-#endif
 
 int EnvThreads() {
   const char* v = std::getenv("FAB_THREADS");
@@ -90,10 +87,8 @@ void ThreadPool::Enqueue(std::function<void()> task) {
     MutexLock lock(mu_);
     queue_.push_back(std::move(task));
   }
-#if !defined(FAB_OBS_DISABLED)
   QueueDepthGauge().Add(1);
   TasksEnqueuedCounter().Increment();
-#endif
   cv_.NotifyOne();
 }
 
@@ -107,7 +102,6 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-#if !defined(FAB_OBS_DISABLED)
     QueueDepthGauge().Add(-1);
     const obs::Clock::time_point start = obs::Clock::Now();
     {
@@ -116,9 +110,6 @@ void ThreadPool::WorkerLoop() {
     }
     TaskLatencyHistogram().Record(
         obs::Clock::MicrosBetween(start, obs::Clock::Now()));
-#else
-    task();  // packaged_task-style wrappers capture their own exceptions
-#endif
   }
 }
 

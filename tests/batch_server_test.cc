@@ -4,8 +4,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
+#include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "ml/forest.h"
 #include "util/random.h"
@@ -22,10 +25,48 @@ ml::ColMatrix MakeMatrix(size_t n, size_t f, uint64_t seed) {
   return *ml::ColMatrix::FromColumns(std::move(cols));
 }
 
-std::vector<double> RowOf(const ml::ColMatrix& x, size_t row) {
-  std::vector<double> features(x.cols());
-  for (size_t j = 0; j < x.cols(); ++j) features[j] = x.at(row, j);
-  return features;
+/// Row `row` of `x` as a 1-row request matrix.
+ml::ColMatrix RowOf(const ml::ColMatrix& x, size_t row) {
+  return x.TakeRows({static_cast<int>(row)});
+}
+
+/// Rows [begin, begin + n) of `x` as one request matrix.
+ml::ColMatrix RowsOf(const ml::ColMatrix& x, size_t begin, size_t n) {
+  std::vector<int> rows(n);
+  for (size_t i = 0; i < n; ++i) rows[i] = static_cast<int>(begin + i);
+  return x.TakeRows(rows);
+}
+
+/// A rows × cols matrix of ones.
+ml::ColMatrix Ones(size_t rows, size_t cols) {
+  ml::ColMatrix x(rows, cols);
+  for (size_t c = 0; c < cols; ++c) {
+    for (size_t r = 0; r < rows; ++r) x.set(r, c, 1.0);
+  }
+  return x;
+}
+
+using Forecasts = Result<std::vector<double>>;
+
+/// Submits one request and returns a future for its forecasts: the
+/// local promise a blocking caller wraps around the one callback.
+Result<std::future<Forecasts>> SubmitFuture(
+    BatchServer& server, std::shared_ptr<const Servable> model,
+    ml::ColMatrix rows) {
+  auto promise = std::make_shared<std::promise<Forecasts>>();
+  std::future<Forecasts> future = promise->get_future();
+  FAB_RETURN_IF_ERROR(server.Submit(
+      std::move(model), std::move(rows),
+      [promise](Forecasts result) { promise->set_value(std::move(result)); }));
+  return future;
+}
+
+/// Submit and wait: the request's forecasts or its error.
+Forecasts Forecast(BatchServer& server, std::shared_ptr<const Servable> model,
+                   ml::ColMatrix rows) {
+  FAB_ASSIGN_OR_RETURN(std::future<Forecasts> future,
+                       SubmitFuture(server, std::move(model), std::move(rows)));
+  return future.get();
 }
 
 std::shared_ptr<const Servable> TrainServable(uint64_t seed,
@@ -85,6 +126,17 @@ std::shared_ptr<const Servable> MakeSlowServable(int delay_ms,
   return *servable;
 }
 
+/// Forecasts every row as the width of the matrix it was served in, so
+/// a test can see which rows shared a batch. Unknown width to
+/// Servable::Wrap, so any request width is accepted.
+class WidthEchoRegressor : public SlowRegressor {
+ public:
+  WidthEchoRegressor() : SlowRegressor(0) {}
+  std::vector<double> Predict(const ml::ColMatrix& x) const override {
+    return std::vector<double>(x.rows(), static_cast<double>(x.cols()));
+  }
+};
+
 TEST(BatchServerTest, ServesSameResultsAsDirectPredict) {
   auto servable = TrainServable(31);
   const ml::ColMatrix queries = MakeMatrix(80, 6, 32);
@@ -93,19 +145,91 @@ TEST(BatchServerTest, ServesSameResultsAsDirectPredict) {
   BatchServerOptions options;
   options.num_threads = 3;
   options.max_batch = 16;
-  BatchServer server(servable, options);
+  BatchServer server(options);
 
-  std::vector<std::future<Result<double>>> futures;
+  std::vector<std::future<Forecasts>> futures;
   for (size_t i = 0; i < queries.rows(); ++i) {
-    auto submitted = server.Submit(RowOf(queries, i));
+    auto submitted = SubmitFuture(server, servable, RowOf(queries, i));
     ASSERT_TRUE(submitted.ok());
     futures.push_back(std::move(*submitted));
   }
   for (size_t i = 0; i < futures.size(); ++i) {
-    Result<double> got = futures[i].get();
+    Forecasts got = futures[i].get();
     ASSERT_TRUE(got.ok()) << "request " << i;
-    EXPECT_EQ(*got, want[i]) << "request " << i;
+    ASSERT_EQ(got->size(), 1u) << "request " << i;
+    EXPECT_EQ((*got)[0], want[i]) << "request " << i;
   }
+}
+
+TEST(BatchServerTest, MultiRowRequestsCoalesceWholeAndInRowOrder) {
+  // Park the only worker on a slow request, queue five requests for one
+  // model, then let it go. With max_batch = 8 the worker must take
+  // [3+5], [1+7] and [10]: requests are stacked into one kernel sweep,
+  // never split, and one larger than max_batch runs alone.
+  auto servable = TrainServable(56);
+  const ml::ColMatrix queries = MakeMatrix(26, 6, 57);
+  const std::vector<double> want = servable->Predict(queries);
+
+  BatchServerOptions options;
+  options.num_threads = 1;
+  options.max_batch = 8;
+  options.coalesce_wait_us = 0;
+  BatchServer server(options);
+  auto parked = SubmitFuture(server, MakeSlowServable(/*delay_ms=*/100),
+                             Ones(1, 1));
+  ASSERT_TRUE(parked.ok());
+  while (server.QueueDepth() != 0) std::this_thread::yield();
+
+  const std::vector<size_t> sizes = {3, 5, 1, 7, 10};
+  std::vector<std::future<Forecasts>> futures;
+  size_t begin = 0;
+  for (const size_t n : sizes) {
+    auto submitted = SubmitFuture(server, servable, RowsOf(queries, begin, n));
+    ASSERT_TRUE(submitted.ok());
+    futures.push_back(std::move(*submitted));
+    begin += n;
+  }
+  EXPECT_EQ(server.QueueDepth(), queries.rows());  // depth counts rows
+
+  ASSERT_TRUE(parked->get().ok());
+  begin = 0;
+  for (size_t i = 0; i < sizes.size(); ++i) {
+    Forecasts got = futures[i].get();
+    ASSERT_TRUE(got.ok()) << "request " << i;
+    const std::vector<double> expect(want.begin() + begin,
+                                     want.begin() + begin + sizes[i]);
+    EXPECT_EQ(*got, expect) << "request " << i;
+    begin += sizes[i];
+  }
+  const BatchServerStats stats = server.Stats();
+  EXPECT_EQ(stats.requests_completed, 1 + queries.rows());
+  EXPECT_EQ(stats.batches_run, 4u);  // the parked one + three
+}
+
+TEST(BatchServerTest, RequestsOfDifferentWidthsNeverShareABatch) {
+  // A model of unknown width accepts any width, but one batch is one
+  // matrix: interleaved 1- and 3-wide requests must run as separate
+  // batches, each row seeing its own request's width.
+  auto echo = Servable::Wrap(std::make_unique<WidthEchoRegressor>());
+  ASSERT_TRUE(echo.ok());
+  BatchServerOptions options;
+  options.num_threads = 1;
+  options.coalesce_wait_us = 0;
+  BatchServer server(options);
+  auto parked = SubmitFuture(server, MakeSlowServable(/*delay_ms=*/100),
+                             Ones(1, 1));
+  ASSERT_TRUE(parked.ok());
+  while (server.QueueDepth() != 0) std::this_thread::yield();
+
+  auto narrow_a = SubmitFuture(server, *echo, Ones(1, 1));
+  auto wide = SubmitFuture(server, *echo, Ones(2, 3));
+  auto narrow_b = SubmitFuture(server, *echo, Ones(1, 1));
+  ASSERT_TRUE(narrow_a.ok() && wide.ok() && narrow_b.ok());
+  ASSERT_TRUE(parked->get().ok());
+  EXPECT_EQ(*narrow_a->get(), std::vector<double>({1.0}));
+  EXPECT_EQ(*wide->get(), std::vector<double>({3.0, 3.0}));
+  EXPECT_EQ(*narrow_b->get(), std::vector<double>({1.0}));
+  EXPECT_EQ(server.Stats().batches_run, 3u);  // parked, [1+1], [3]
 }
 
 TEST(BatchServerTest, ConcurrentClientsAndStats) {
@@ -116,7 +240,7 @@ TEST(BatchServerTest, ConcurrentClientsAndStats) {
   BatchServerOptions options;
   options.num_threads = 2;
   options.max_batch = 8;
-  BatchServer server(servable, options);
+  BatchServer server(options);
 
   constexpr int kClients = 4;
   constexpr int kPerClient = 50;
@@ -127,8 +251,10 @@ TEST(BatchServerTest, ConcurrentClientsAndStats) {
       Rng rng(static_cast<uint64_t>(c) + 100);
       for (int i = 0; i < kPerClient; ++i) {
         const size_t row = rng.UniformInt(queries.rows());
-        auto result = server.Forecast(RowOf(queries, row));
-        if (!result.ok() || *result != want[row]) mismatches.fetch_add(1);
+        Forecasts result = Forecast(server, servable, RowOf(queries, row));
+        if (!result.ok() || *result != std::vector<double>{want[row]}) {
+          mismatches.fetch_add(1);
+        }
       }
     });
   }
@@ -154,9 +280,9 @@ TEST(BatchServerTest, StatszJsonMatchesStats) {
   BatchServerOptions options;
   options.num_threads = 2;
   options.max_batch = 8;
-  BatchServer server(servable, options);
+  BatchServer server(options);
   for (size_t i = 0; i < queries.rows(); ++i) {
-    ASSERT_TRUE(server.Forecast(RowOf(queries, i)).ok());
+    ASSERT_TRUE(Forecast(server, servable, RowOf(queries, i)).ok());
   }
 
   const BatchServerStats stats = server.Stats();
@@ -170,7 +296,7 @@ TEST(BatchServerTest, StatszJsonMatchesStats) {
   EXPECT_NE(
       json.find("\"batches_run\":" + std::to_string(stats.batches_run)),
       std::string::npos);
-  // Admission counters surface for the net front-end's /statusz.
+  // Admission counters surface for the net front-end's /rpcz.
   EXPECT_NE(json.find("\"requests_rejected\":0"), std::string::npos);
   EXPECT_NE(json.find("\"requests_abandoned\":0"), std::string::npos);
   EXPECT_NE(json.find("\"queue_depth\":"), std::string::npos);
@@ -184,36 +310,31 @@ TEST(BatchServerTest, StatszJsonMatchesStats) {
   EXPECT_NE(json.find("\"p99\":"), std::string::npos);
 }
 
-TEST(BatchServerTest, RejectsWrongFeatureCount) {
-  BatchServer server(TrainServable(35), BatchServerOptions{});
-  EXPECT_EQ(server.num_features(), 6u);
-  auto result = server.Submit({1.0, 2.0});
-  EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(BatchServerTest, HotSwapServesNewModel) {
-  auto old_model = TrainServable(36);
-  auto new_model = TrainServable(37);
-  const ml::ColMatrix queries = MakeMatrix(4, 6, 38);
-
+TEST(BatchServerTest, RejectsInvalidRequestsBeforeQueueing) {
+  auto model = TrainServable(35);
   BatchServerOptions options;
-  options.num_threads = 1;
-  options.coalesce_wait_us = 0;
-  BatchServer server(old_model, options);
-  auto before = server.Forecast(RowOf(queries, 0));
-  ASSERT_TRUE(before.ok());
-  EXPECT_EQ(*before, old_model->PredictOne(queries, 0));
-
-  server.UpdateModel(new_model);
-  auto after = server.Forecast(RowOf(queries, 0));
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(*after, new_model->PredictOne(queries, 0));
+  options.max_queue = 4;
+  BatchServer server(options);
+  auto noop = [](Forecasts) {};
+  // Width the model was not fitted on.
+  EXPECT_EQ(server.Submit(model, Ones(1, 2), noop).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(server.Submit(nullptr, Ones(1, 6), noop).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(server.Submit(model, Ones(1, 6), nullptr).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(server.Submit(model, Ones(0, 6), noop).code(),
+            StatusCode::kInvalidArgument);
+  // More rows than the queue could ever hold: no retry can cure it.
+  EXPECT_EQ(server.Submit(model, Ones(5, 6), noop).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(server.Stats().requests_rejected, 0u);  // none was load
+  EXPECT_EQ(server.QueueDepth(), 0u);
 }
 
-TEST(BatchServerTest, KeyedSubmitServesPerRequestModels) {
-  // One BatchServer, many models: the fab::net shard pattern. Rows carry
-  // their own Servable and must be answered by it, not the default.
+TEST(BatchServerTest, ServesEachRequestWithItsOwnModel) {
+  // One BatchServer, many models: the fab::net shard pattern. Requests
+  // carry their own Servable and must be answered by it.
   auto model_a = TrainServable(51);
   auto model_b = TrainServable(52);
   const ml::ColMatrix queries = MakeMatrix(40, 6, 53);
@@ -223,56 +344,51 @@ TEST(BatchServerTest, KeyedSubmitServesPerRequestModels) {
   BatchServerOptions options;
   options.num_threads = 2;
   options.max_batch = 8;
-  // No default model: the keyed path supplies one per request.
-  BatchServer server(nullptr, options);
+  BatchServer server(options);
 
-  std::vector<std::future<Result<double>>> futures_a;
-  std::vector<std::future<Result<double>>> futures_b;
+  std::vector<std::future<Forecasts>> futures_a;
+  std::vector<std::future<Forecasts>> futures_b;
   for (size_t i = 0; i < queries.rows(); ++i) {
-    auto a = server.SubmitTo(model_a, RowOf(queries, i));
-    auto b = server.SubmitTo(model_b, RowOf(queries, i));
+    auto a = SubmitFuture(server, model_a, RowOf(queries, i));
+    auto b = SubmitFuture(server, model_b, RowOf(queries, i));
     ASSERT_TRUE(a.ok());
     ASSERT_TRUE(b.ok());
     futures_a.push_back(std::move(*a));
     futures_b.push_back(std::move(*b));
   }
   for (size_t i = 0; i < queries.rows(); ++i) {
-    Result<double> got_a = futures_a[i].get();
-    Result<double> got_b = futures_b[i].get();
+    Forecasts got_a = futures_a[i].get();
+    Forecasts got_b = futures_b[i].get();
     ASSERT_TRUE(got_a.ok());
     ASSERT_TRUE(got_b.ok());
-    EXPECT_EQ(*got_a, want_a[i]) << "model_a row " << i;
-    EXPECT_EQ(*got_b, want_b[i]) << "model_b row " << i;
+    EXPECT_EQ(*got_a, std::vector<double>{want_a[i]}) << "model_a row " << i;
+    EXPECT_EQ(*got_b, std::vector<double>{want_b[i]}) << "model_b row " << i;
   }
   // Interleaved two-model traffic still coalesces: fewer batches than
   // requests proves same-model runs were extracted, not row-at-a-time.
   const BatchServerStats stats = server.Stats();
   EXPECT_EQ(stats.requests_completed, 2 * queries.rows());
   EXPECT_LT(stats.batches_run, stats.requests_completed);
-
-  // Keyed feature validation uses the request's model, not the default.
-  auto bad = server.SubmitTo(model_a, {1.0});
-  EXPECT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_FALSE(server.SubmitTo(nullptr, RowOf(queries, 0)).ok());
 }
 
-TEST(BatchServerTest, SubmitWithCallbackCompletesWithoutBlocking) {
+TEST(BatchServerTest, CallbackCompletesWithoutBlocking) {
   auto model = TrainServable(54);
   const ml::ColMatrix queries = MakeMatrix(16, 6, 55);
   const std::vector<double> want = model->Predict(queries);
 
   BatchServerOptions options;
   options.num_threads = 2;
-  BatchServer server(nullptr, options);
+  BatchServer server(options);
 
   std::atomic<int> completions{0};
   std::atomic<int> mismatches{0};
   for (size_t i = 0; i < queries.rows(); ++i) {
     const double expect = want[i];
-    Status admitted = server.SubmitWithCallback(
-        model, RowOf(queries, i), [&, expect](Result<double> result) {
-          if (!result.ok() || *result != expect) mismatches.fetch_add(1);
+    Status admitted = server.Submit(
+        model, RowOf(queries, i), [&, expect](Forecasts result) {
+          if (!result.ok() || *result != std::vector<double>{expect}) {
+            mismatches.fetch_add(1);
+          }
           completions.fetch_add(1);
         });
     ASSERT_TRUE(admitted.ok());
@@ -280,19 +396,10 @@ TEST(BatchServerTest, SubmitWithCallbackCompletesWithoutBlocking) {
   server.Shutdown();  // drains: every callback has fired by return
   EXPECT_EQ(completions.load(), static_cast<int>(queries.rows()));
   EXPECT_EQ(mismatches.load(), 0);
-
-  // Admission-layer preconditions are synchronous errors.
-  EXPECT_EQ(server
-                .SubmitWithCallback(nullptr, RowOf(queries, 0),
-                                    [](Result<double>) {})
-                .code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(server.SubmitWithCallback(model, RowOf(queries, 0), nullptr).code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST(BatchServerTest, BoundedQueueShedsWithUnavailable) {
-  // One slow single-threaded worker + a 4-slot queue: once the worker is
+  // One slow single-threaded worker + a 4-row queue: once the worker is
   // busy and the queue is full, further submits must fail fast with
   // kUnavailable (the signal the HTTP layer turns into 429).
   BatchServerOptions options;
@@ -300,14 +407,15 @@ TEST(BatchServerTest, BoundedQueueShedsWithUnavailable) {
   options.max_batch = 1;
   options.coalesce_wait_us = 0;
   options.max_queue = 4;
-  BatchServer server(MakeSlowServable(/*delay_ms=*/50), options);
+  auto slow = MakeSlowServable(/*delay_ms=*/50);
+  BatchServer server(options);
 
-  std::vector<std::future<Result<double>>> admitted;
+  std::vector<std::future<Forecasts>> admitted;
   uint64_t rejected = 0;
   // 16 instantaneous submits against 1 in-flight + 4 queue slots: at
   // least one must be shed (the worker can't drain 16×50ms instantly).
   for (int i = 0; i < 16; ++i) {
-    auto submitted = server.Submit({1.0});
+    auto submitted = SubmitFuture(server, slow, Ones(1, 1));
     if (submitted.ok()) {
       admitted.push_back(std::move(*submitted));
     } else {
@@ -316,14 +424,22 @@ TEST(BatchServerTest, BoundedQueueShedsWithUnavailable) {
     }
   }
   EXPECT_GT(rejected, 0u);
+  // A multi-row request is admitted whole or not at all: 4 rows fit
+  // only into an empty queue (its 50ms batches drain one row at a
+  // time), so they are refused and counted as 4 rejected rows.
+  const size_t depth = server.QueueDepth();
+  ASSERT_GT(depth, 0u);
+  EXPECT_EQ(server.Submit(slow, Ones(4, 1), [](Forecasts) {}).code(),
+            StatusCode::kUnavailable);
+  EXPECT_LE(server.QueueDepth(), depth);  // none of its rows was queued
   // Every admitted request still completes normally.
   for (auto& future : admitted) {
-    Result<double> got = future.get();
+    Forecasts got = future.get();
     ASSERT_TRUE(got.ok());
-    EXPECT_EQ(*got, 7.0);
+    EXPECT_EQ(*got, std::vector<double>{7.0});
   }
   const BatchServerStats stats = server.Stats();
-  EXPECT_EQ(stats.requests_rejected, rejected);
+  EXPECT_EQ(stats.requests_rejected, rejected + 4);
   EXPECT_EQ(stats.requests_completed, admitted.size());
 }
 
@@ -332,16 +448,17 @@ TEST(BatchServerTest, EstimatedQueueWaitTracksServiceTime) {
   options.num_threads = 1;
   options.max_batch = 1;
   options.coalesce_wait_us = 0;
-  BatchServer server(MakeSlowServable(/*delay_ms=*/20), options);
+  auto slow = MakeSlowServable(/*delay_ms=*/20);
+  BatchServer server(options);
 
-  EXPECT_EQ(server.EstimatedQueueWaitUs(), 0.0);  // no samples yet
-  ASSERT_TRUE(server.Forecast({1.0}).ok());       // seeds the EMA
+  EXPECT_EQ(server.EstimatedQueueWaitUs(), 0.0);       // no samples yet
+  ASSERT_TRUE(Forecast(server, slow, Ones(1, 1)).ok());  // seeds the EMA
 
   // Park the worker and stack the queue; the estimate must now predict a
   // wait in the order of queue_depth × ~20ms.
-  std::vector<std::future<Result<double>>> futures;
+  std::vector<std::future<Forecasts>> futures;
   for (int i = 0; i < 6; ++i) {
-    auto submitted = server.Submit({1.0});
+    auto submitted = SubmitFuture(server, slow, Ones(1, 1));
     ASSERT_TRUE(submitted.ok());
     futures.push_back(std::move(*submitted));
   }
@@ -359,11 +476,11 @@ TEST(BatchServerTest, ShutdownDrainsAndRejectsNewWork) {
   const ml::ColMatrix queries = MakeMatrix(32, 6, 40);
   BatchServerOptions options;
   options.num_threads = 2;
-  BatchServer server(servable, options);
+  BatchServer server(options);
 
-  std::vector<std::future<Result<double>>> futures;
+  std::vector<std::future<Forecasts>> futures;
   for (size_t i = 0; i < queries.rows(); ++i) {
-    auto submitted = server.Submit(RowOf(queries, i));
+    auto submitted = SubmitFuture(server, servable, RowOf(queries, i));
     ASSERT_TRUE(submitted.ok());
     futures.push_back(std::move(*submitted));
   }
@@ -373,25 +490,28 @@ TEST(BatchServerTest, ShutdownDrainsAndRejectsNewWork) {
   EXPECT_EQ(server.Stats().requests_completed, queries.rows());
   EXPECT_EQ(server.Stats().requests_abandoned, 0u);
   // New work is refused after shutdown.
-  EXPECT_FALSE(server.Submit(RowOf(queries, 0)).ok());
+  EXPECT_EQ(server.Submit(servable, RowOf(queries, 0), [](Forecasts) {})
+                .code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(BatchServerTest, ShutdownDeadlineNeverSilentlyDropsRequests) {
   // Regression for the drain-under-deadline contract: with a worker too
   // slow to drain the backlog inside shutdown_drain_ms, leftover
-  // requests must resolve with an explicit kUnavailable — every future
+  // requests must resolve with an explicit kUnavailable — every callback
   // fires, nothing hangs, and completed + abandoned accounts for every
-  // accepted request.
+  // accepted row.
   BatchServerOptions options;
   options.num_threads = 1;
   options.max_batch = 1;
   options.coalesce_wait_us = 0;
   options.shutdown_drain_ms = 60;  // ~1 slow batch worth of drain budget
-  BatchServer server(MakeSlowServable(/*delay_ms=*/50), options);
+  auto slow = MakeSlowServable(/*delay_ms=*/50);
+  BatchServer server(options);
 
-  std::vector<std::future<Result<double>>> futures;
+  std::vector<std::future<Forecasts>> futures;
   for (int i = 0; i < 12; ++i) {
-    auto submitted = server.Submit({1.0});
+    auto submitted = SubmitFuture(server, slow, Ones(1, 1));
     ASSERT_TRUE(submitted.ok());
     futures.push_back(std::move(*submitted));
   }
@@ -400,10 +520,10 @@ TEST(BatchServerTest, ShutdownDeadlineNeverSilentlyDropsRequests) {
   uint64_t served = 0;
   uint64_t abandoned = 0;
   for (auto& future : futures) {
-    // Must not block: every promise was fulfilled by Shutdown's return.
-    Result<double> got = future.get();
+    // Must not block: every callback fired by Shutdown's return.
+    Forecasts got = future.get();
     if (got.ok()) {
-      EXPECT_EQ(*got, 7.0);
+      EXPECT_EQ(*got, std::vector<double>{7.0});
       ++served;
     } else {
       EXPECT_EQ(got.status().code(), StatusCode::kUnavailable);
@@ -422,24 +542,24 @@ TEST(BatchServerTest, StartAfterShutdownRevivesServer) {
   const ml::ColMatrix queries = MakeMatrix(8, 6, 42);
   BatchServerOptions options;
   options.num_threads = 2;
-  BatchServer server(servable, options);
+  BatchServer server(options);
 
-  ASSERT_TRUE(server.Forecast(RowOf(queries, 0)).ok());
+  ASSERT_TRUE(Forecast(server, servable, RowOf(queries, 0)).ok());
   server.Shutdown();
-  EXPECT_FALSE(server.Submit(RowOf(queries, 0)).ok());
+  EXPECT_FALSE(Forecast(server, servable, RowOf(queries, 0)).ok());
 
   server.Start();
-  auto revived = server.Forecast(RowOf(queries, 1));
+  Forecasts revived = Forecast(server, servable, RowOf(queries, 1));
   ASSERT_TRUE(revived.ok());
-  EXPECT_EQ(*revived, servable->PredictOne(queries, 1));
+  EXPECT_EQ(*revived, std::vector<double>{servable->PredictOne(queries, 1)});
   // Stats carried over across the restart: both eras are counted.
   EXPECT_GE(server.Stats().requests_completed, 2u);
 }
 
 TEST(BatchServerTest, StartStopStartStressJoinsCleanly) {
   // TSan-exercised (batch_server_test_tsan): hammer the lifecycle while
-  // client threads submit continuously. Every accepted future must
-  // resolve (no promise ever abandoned without an error), every cycle
+  // client threads submit continuously. Every accepted request must
+  // resolve (no callback ever dropped without an error), every cycle
   // must join cleanly, and the cv wait predicates must read only
   // mu_-guarded state.
   auto servable = TrainServable(43);
@@ -447,7 +567,7 @@ TEST(BatchServerTest, StartStopStartStressJoinsCleanly) {
   BatchServerOptions options;
   options.num_threads = 2;
   options.coalesce_wait_us = 50;
-  BatchServer server(servable, options);
+  BatchServer server(options);
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> accepted{0};
@@ -458,7 +578,8 @@ TEST(BatchServerTest, StartStopStartStressJoinsCleanly) {
     clients.emplace_back([&, c] {
       size_t row = static_cast<size_t>(c);
       while (!stop.load()) {
-        auto submitted = server.Submit(RowOf(queries, row % queries.rows()));
+        auto submitted =
+            SubmitFuture(server, servable, RowOf(queries, row % queries.rows()));
         ++row;
         if (!submitted.ok()) continue;  // server between Shutdown and Start
         accepted.fetch_add(1);

@@ -115,6 +115,17 @@ class HttpServerTest : public ::testing::Test {
            ",\"model\":\"" + key.model + "\",\"rows\":" + rows + "}";
   }
 
+  /// GETs `path` and parses the 200 response body.
+  static Result<JsonValue> GetJson(HttpClient& client,
+                                   const std::string& path) {
+    FAB_ASSIGN_OR_RETURN(HttpResponse response, client.Get(path));
+    if (response.status_code != 200) {
+      return Status::Internal(path + " answered " +
+                              std::to_string(response.status_code));
+    }
+    return ParseJson(response.body);
+  }
+
   std::string root_;
   std::unique_ptr<serve::ModelRegistry> registry_;
   std::unique_ptr<ShardedRouter> router_;
@@ -171,6 +182,23 @@ TEST_F(HttpServerTest, ErrorMapping) {
                     PredictBody(kFastKey, "[[1.0],\"oops\"]")))
           .status_code,
       400);
+  // Ragged rows: one request is one matrix, even for a model of unknown
+  // width (which would otherwise truncate or zero-pad a row).
+  EXPECT_EQ(
+      (*client.Post("/predict", PredictBody(kFastKey, "[[10],[1,2,3]]")))
+          .status_code,
+      400);
+  // Numbers JSON cannot hold: an overflowing feature, a window past int.
+  EXPECT_EQ(
+      (*client.Post("/predict", PredictBody(kFastKey, "[[1e999,0.5,0.5]]")))
+          .status_code,
+      400);
+  EXPECT_EQ(
+      (*client.Post("/predict",
+                    "{\"period\":\"2019\",\"window\":1e20,\"model\":"
+                    "\"xgb\",\"rows\":[[1.0]]}"))
+          .status_code,
+      400);
   // Unknown scenario key -> registry NotFound -> 404.
   serve::ModelKey unknown{"2031", 7, "rf"};
   Result<HttpResponse> missing =
@@ -194,21 +222,84 @@ TEST_F(HttpServerTest, KeepAliveServesManySequentialRequests) {
   }
 }
 
-TEST_F(HttpServerTest, StatuszExportsRouterAndMetrics) {
+TEST_F(HttpServerTest, RpczExportsShardsAndStatuszIsGone) {
   StartStack();
   HttpClient client("127.0.0.1", server_->port());
   ASSERT_EQ((*client.Post("/predict", PredictBody(kFastKey, "[[1.0]]")))
                 .status_code,
             200);
-  Result<HttpResponse> response = client.Get("/statusz");
-  ASSERT_TRUE(response.ok());
-  EXPECT_EQ(response->status_code, 200);
-  Result<JsonValue> body = ParseJson(response->body);
-  ASSERT_TRUE(body.ok()) << body.status().ToString();
-  const JsonValue* router_statsz = body->Find("router");
-  ASSERT_NE(router_statsz, nullptr);
-  EXPECT_DOUBLE_EQ(*router_statsz->GetNumber("num_shards"), 2.0);
-  EXPECT_NE(body->Find("metrics"), nullptr);
+  Result<JsonValue> rpcz = GetJson(client, "/rpcz");
+  ASSERT_TRUE(rpcz.ok()) << rpcz.status().ToString();
+  const JsonValue* shards = rpcz->Find("shards");
+  ASSERT_NE(shards, nullptr);
+  EXPECT_DOUBLE_EQ(*shards->GetNumber("num_shards"), 2.0);
+  EXPECT_EQ((*client.Get("/metricsz")).status_code, 200);
+  // /rpcz and /metricsz serve everything /statusz did.
+  EXPECT_EQ((*client.Get("/statusz")).status_code, 404);
+}
+
+TEST_F(HttpServerTest, MultiRowRequestIsOneQueueEntry) {
+  StartStack(EventLoop::DefaultBackend(), /*max_shard_queue=*/4);
+  HttpClient client("127.0.0.1", server_->port());
+
+  // More rows than the shard queue can ever hold: no retry would help.
+  EXPECT_EQ((*client.Post("/predict",
+                          PredictBody(kSlowKey, "[[1],[2],[3],[4],[5]]")))
+                .status_code,
+            400);
+
+  // Occupy the slow shard behind its 100ms-per-batch worker with two
+  // 1-row requests and a 2-row one, then ask for 3 more rows. The 2-row
+  // request stays queued for at least the two 100ms batches ahead of
+  // it, so at most two row slots are free: the request sheds whole,
+  // before any of its rows runs.
+  const size_t shard = router_->ShardFor(kSlowKey);
+  auto shard_stat = [&](const char* section, const char* name) {
+    Result<JsonValue> rpcz = GetJson(client, "/rpcz");
+    if (!rpcz.ok()) return -1.0;
+    const JsonValue& stats =
+        rpcz->Find("shards")->Find("shards")->array()[shard];
+    const JsonValue* from = section != nullptr ? stats.Find(section) : &stats;
+    return *from->GetNumber(name);
+  };
+  // Admission counters are process-wide obs counters: compare a pair.
+  const double admitted_before = shard_stat(nullptr, "admitted");
+  const double shed_before = shard_stat(nullptr, "shed_queue_full");
+  auto wait_admitted = [&](double rows) {
+    for (int i = 0; i < 5000; ++i) {
+      if (shard_stat(nullptr, "admitted") - admitted_before >= rows) return;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ADD_FAILURE() << "filler rows never admitted";
+  };
+  struct Filler {
+    const char* rows;
+    double count;
+  };
+  std::vector<std::thread> fillers;
+  double filler_rows = 0.0;
+  for (const Filler& f : {Filler{"[[1]]", 1}, Filler{"[[1]]", 1},
+                          Filler{"[[1],[2]]", 2}}) {
+    fillers.emplace_back([this, rows = f.rows] {
+      HttpClient filler("127.0.0.1", server_->port());
+      Result<HttpResponse> response =
+          filler.Post("/predict", PredictBody(kSlowKey, rows));
+      EXPECT_TRUE(response.ok() && response->status_code == 200) << rows;
+    });
+    filler_rows += f.count;
+    wait_admitted(filler_rows);  // admitted in order, one at a time
+  }
+  Result<HttpResponse> shed =
+      client.Post("/predict", PredictBody(kSlowKey, "[[1],[2],[3]]"));
+  ASSERT_TRUE(shed.ok()) << shed.status().ToString();
+  EXPECT_EQ(shed->status_code, 429);
+  EXPECT_NE(shed->Header("Retry-After"), nullptr);
+  for (std::thread& filler : fillers) filler.join();
+
+  // Only the fillers' 4 rows ever ran; the shed request is 3 shed rows.
+  EXPECT_DOUBLE_EQ(shard_stat("server", "requests_completed"), filler_rows);
+  EXPECT_DOUBLE_EQ(shard_stat(nullptr, "shed_queue_full") - shed_before,
+                   3.0);
 }
 
 TEST_F(HttpServerTest, PollBackendServesIdentically) {

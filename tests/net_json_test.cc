@@ -65,6 +65,21 @@ TEST(NetJsonTest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseJson("\"a\nb\"").ok());
 }
 
+TEST(NetJsonTest, RejectsNumbersOutOfDoubleRange) {
+  // strtod saturates these to +-inf; a forecast must never see one.
+  for (const char* bad : {"1e999", "-1e999", "[0.5,1e400]"}) {
+    Result<JsonValue> parsed = ParseJson(bad);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find("out of range at byte"),
+              std::string::npos)
+        << parsed.status().message();
+  }
+  // The largest finite double still parses.
+  EXPECT_DOUBLE_EQ(ParseJson("1.7976931348623157e308")->number(),
+                   1.7976931348623157e308);
+}
+
 TEST(NetJsonTest, BoundsNestingDepth) {
   std::string deep;
   for (int i = 0; i < 100; ++i) deep += "[";

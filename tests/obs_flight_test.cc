@@ -97,8 +97,6 @@ TEST(TraceContextTest, ThreadPoolPropagatesContextIntoTasks) {
 
 // --- Flight recorder ring. --------------------------------------------------
 
-#if !defined(FAB_OBS_DISABLED)
-
 obs::FlightSpan MakeSpan(const char* name, uint64_t trace_id) {
   const auto start = obs::Clock::Now();
   obs::FlightRecordSpan(name, trace_id, start, start);
@@ -275,25 +273,6 @@ TEST(FlightDumpTest, AbortLeavesValidDumpBehind) {
   EXPECT_NE(text.find("flight/crash-inner"), std::string::npos);
   EXPECT_TRUE(ParsesAsJson(path)) << text.substr(0, 400);
 }
-
-#else  // FAB_OBS_DISABLED
-
-TEST(FlightRecorderTest, DisabledBuildCompilesToNoOps) {
-  EXPECT_FALSE(obs::FlightEnabled());
-  EXPECT_EQ(obs::FlightCapacity(), 0u);
-  obs::FlightRecordSpan("flight/off", 1, obs::Clock::Now(), obs::Clock::Now());
-  EXPECT_TRUE(obs::FlightSnapshot().empty());
-  // The dump entry points still write an empty, valid trace so smoke
-  // scripts work in every configuration.
-  const std::string path = ::testing::TempDir() + "flight_off.json";
-  ASSERT_TRUE(obs::FlightDump(path).ok());
-  std::ifstream in(path);
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  EXPECT_NE(text.find("\"traceEvents\""), std::string::npos);
-}
-
-#endif  // FAB_OBS_DISABLED
 
 // --- /tracez span-tree builder. ---------------------------------------------
 

@@ -86,9 +86,6 @@ TEST(ObsTraceTest, EnabledStateMatchesEnvBootstrap) {
 }
 
 TEST(ObsTraceTest, SpansBalanceAndNestUnderConcurrentPoolLoad) {
-#if defined(FAB_OBS_DISABLED)
-  GTEST_SKIP() << "span collection compiled out (FAB_OBS=OFF)";
-#endif
   StartTracing();
   ASSERT_TRUE(TraceEnabled());
 
@@ -144,9 +141,6 @@ TEST(ObsTraceTest, SpansBalanceAndNestUnderConcurrentPoolLoad) {
 }
 
 TEST(ObsTraceTest, ArgsRenderOnBeginAndAddArgLandsOnEnd) {
-#if defined(FAB_OBS_DISABLED)
-  GTEST_SKIP() << "span collection compiled out (FAB_OBS=OFF)";
-#endif
   StartTracing();
   {
     TraceSpan span("test/args", {{"iter", 7}, {"tag", "fra"}, {"x", 1.5}});

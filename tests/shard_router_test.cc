@@ -50,6 +50,34 @@ class SlowRegressor : public ml::Regressor {
   double value_;
 };
 
+using Forecasts = Result<std::vector<double>>;
+
+/// A rows × cols matrix of ones.
+ml::ColMatrix Ones(size_t rows, size_t cols) {
+  ml::ColMatrix x(rows, cols);
+  for (size_t c = 0; c < cols; ++c) {
+    for (size_t r = 0; r < rows; ++r) x.set(r, c, 1.0);
+  }
+  return x;
+}
+
+/// The router's statsz, parsed.
+JsonValue Statsz(const ShardedRouter& router) {
+  Result<JsonValue> statsz = ParseJson(router.StatszJson());
+  EXPECT_TRUE(statsz.ok()) << statsz.status().ToString();
+  return statsz.ok() ? *statsz : JsonValue();
+}
+
+/// Admission counter `name` of shard `index` in a parsed statsz. The
+/// counters live in the process-wide obs registry, so tests compare a
+/// before/after pair rather than absolute values.
+int ShardCount(const JsonValue& statsz, size_t index, const char* name) {
+  const JsonValue* shards = statsz.Find("shards");
+  if (shards == nullptr || index >= shards->array().size()) return -1;
+  Result<double> value = shards->array()[index].GetNumber(name);
+  return value.ok() ? static_cast<int>(*value) : -1;
+}
+
 class ShardRouterTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -157,8 +185,8 @@ TEST_F(ShardRouterTest, UnknownKeyIsNotFound) {
   Result<std::unique_ptr<ShardedRouter>> router =
       ShardedRouter::Create(registry_.get(), ShardedRouterOptions{});
   ASSERT_TRUE(router.ok());
-  Status status = (*router)->Submit({"2031", 7, "rf"}, {1.0},
-                                    [](Result<double>) {});
+  Status status = (*router)->Submit({"2031", 7, "rf"}, Ones(1, 1),
+                                    [](Forecasts) {});
   EXPECT_EQ(status.code(), StatusCode::kNotFound);
 }
 
@@ -189,60 +217,122 @@ TEST_F(ShardRouterTest, SaturatedShardShedsWhileOthersServe) {
   ASSERT_TRUE(created.ok());
   ShardedRouter& router = **created;
 
+  const JsonValue before = Statsz(router);
   std::atomic<int> slow_done{0};
   int admitted = 0;
-  int shed_full = 0;
+  int shed = 0;
   for (int i = 0; i < 12; ++i) {
-    Admission admission = Admission::kAdmitted;
     Status status = router.Submit(
-        slow_key, {1.0},
-        [&slow_done](Result<double>) { slow_done.fetch_add(1); },
-        &admission);
+        slow_key, Ones(1, 1),
+        [&slow_done](Forecasts) { slow_done.fetch_add(1); });
     if (status.ok()) {
-      EXPECT_EQ(admission, Admission::kAdmitted);
       ++admitted;
     } else {
       EXPECT_EQ(status.code(), StatusCode::kUnavailable);
-      EXPECT_EQ(admission, Admission::kShedQueueFull);
-      ++shed_full;
+      ++shed;
     }
   }
   EXPECT_GE(admitted, 1);
-  EXPECT_GE(shed_full, 1) << "12 instant submits of 100ms work into a "
-                             "2-slot queue must shed";
+  EXPECT_GE(shed, 1) << "12 instant submits of 100ms work into a "
+                        "2-slot queue must shed";
   EXPECT_GE(router.RetryAfterSeconds(0), 1);
 
   // Shard 1 is unaffected: every fast submit admits and serves.
   for (int i = 0; i < 4; ++i) {
-    std::promise<Result<double>> promise;
-    std::future<Result<double>> future = promise.get_future();
-    Admission admission = Admission::kShedQueueFull;
+    std::promise<Forecasts> promise;
+    std::future<Forecasts> future = promise.get_future();
     ASSERT_TRUE(router
-                    .Submit(fast_key, {1.0},
-                            [&promise](Result<double> r) {
+                    .Submit(fast_key, Ones(1, 1),
+                            [&promise](Forecasts r) {
                               promise.set_value(std::move(r));
-                            },
-                            &admission)
+                            })
                     .ok());
-    EXPECT_EQ(admission, Admission::kAdmitted);
-    Result<double> result = future.get();
+    Forecasts result = future.get();
     ASSERT_TRUE(result.ok());
-    EXPECT_DOUBLE_EQ(*result, 3.5);
+    EXPECT_EQ(*result, std::vector<double>{3.5});
   }
 
-  // Statsz is valid JSON and reflects the shed counters.
-  Result<JsonValue> statsz = ParseJson(router.StatszJson());
-  ASSERT_TRUE(statsz.ok()) << statsz.status().ToString();
-  EXPECT_DOUBLE_EQ(*statsz->GetNumber("num_shards"), 2.0);
-  const JsonValue* shards = statsz->Find("shards");
-  ASSERT_NE(shards, nullptr);
-  ASSERT_EQ(shards->array().size(), 2u);
-  EXPECT_GE(*shards->array()[0].GetNumber("shed_queue_full"),
-            static_cast<double>(shed_full));
-  EXPECT_GE(*shards->array()[1].GetNumber("admitted"), 4.0);
+  // Statsz is valid JSON, and every shed was a queue-full shed.
+  const JsonValue after = Statsz(router);
+  EXPECT_DOUBLE_EQ(*after.GetNumber("num_shards"), 2.0);
+  auto delta = [&](size_t index, const char* name) {
+    return ShardCount(after, index, name) - ShardCount(before, index, name);
+  };
+  EXPECT_EQ(delta(0, "shed_queue_full"), shed);
+  EXPECT_EQ(delta(0, "shed_slo"), 0);
+  EXPECT_EQ(delta(0, "admitted"), admitted);
+  EXPECT_EQ(delta(1, "admitted"), 4);
 
   router.Shutdown();  // drains the slow queue under its deadline
   EXPECT_EQ(slow_done.load(), admitted);  // every admitted callback fired
+}
+
+TEST_F(ShardRouterTest, MultiRowRequestIsAdmittedWholeOrShedWhole) {
+  // A 4-row queue holding 3 rows has one free slot: a 2-row request
+  // must shed as a whole, and none of its rows may run.
+  const serve::ModelKey slow_key{"2017", 7, "rf"};
+  ASSERT_EQ(ShardOf(slow_key, 2), 0u);
+  ASSERT_TRUE(registry_
+                  ->Put(slow_key, std::make_unique<SlowRegressor>(100, 7.0))
+                  .ok());
+  ShardedRouterOptions options;
+  options.num_shards = 2;
+  options.threads_per_shard = 1;
+  options.max_batch = 1;
+  options.coalesce_wait_us = 0;
+  options.max_shard_queue = 4;
+  options.slo_queue_wait_us = 0.0;  // isolate the queue-full path
+  Result<std::unique_ptr<ShardedRouter>> created =
+      ShardedRouter::Create(registry_.get(), options);
+  ASSERT_TRUE(created.ok());
+  ShardedRouter& router = **created;
+
+  const JsonValue before = Statsz(router);
+  std::atomic<int> done{0};
+  auto count = [&done](Forecasts result) {
+    if (result.ok()) done.fetch_add(static_cast<int>(result->size()));
+  };
+  ASSERT_TRUE(router.Submit(slow_key, Ones(1, 1), count).ok());
+  ASSERT_TRUE(router.Submit(slow_key, Ones(3, 1), count).ok());
+  // 3 queued rows (4 if the worker has not picked the first yet).
+  EXPECT_EQ(router.Submit(slow_key, Ones(2, 1), count).code(),
+            StatusCode::kUnavailable);
+
+  router.Shutdown();
+  EXPECT_EQ(done.load(), 4);
+  const JsonValue after = Statsz(router);
+  EXPECT_EQ(ShardCount(after, 0, "admitted") - ShardCount(before, 0, "admitted"),
+            4);
+  EXPECT_EQ(ShardCount(after, 0, "shed_queue_full") -
+                ShardCount(before, 0, "shed_queue_full"),
+            2);  // rows
+  const JsonValue* server = after.Find("shards")->array()[0].Find("server");
+  ASSERT_NE(server, nullptr);
+  EXPECT_DOUBLE_EQ(*server->GetNumber("requests_completed"), 4.0);
+}
+
+TEST_F(ShardRouterTest, RequestLargerThanTheQueueIsInvalid) {
+  // No amount of waiting makes room for 3 rows in a 2-row queue: that
+  // is the client's error (HTTP 400), not load (429).
+  const serve::ModelKey key{"2019", 21, "xgb"};
+  ASSERT_TRUE(
+      registry_->Put(key, std::make_unique<SlowRegressor>(0, 3.5)).ok());
+  ShardedRouterOptions options;
+  options.num_shards = 2;
+  options.max_shard_queue = 2;
+  Result<std::unique_ptr<ShardedRouter>> created =
+      ShardedRouter::Create(registry_.get(), options);
+  ASSERT_TRUE(created.ok());
+  ShardedRouter& router = **created;
+  const JsonValue before = Statsz(router);
+  EXPECT_EQ(router.Submit(key, Ones(3, 1), [](Forecasts) {}).code(),
+            StatusCode::kInvalidArgument);
+  const JsonValue after = Statsz(router);
+  const size_t shard = router.ShardFor(key);
+  for (const char* name : {"admitted", "shed_queue_full", "shed_slo"}) {
+    EXPECT_EQ(ShardCount(after, shard, name), ShardCount(before, shard, name))
+        << name;
+  }
 }
 
 TEST_F(ShardRouterTest, QueueWaitSloShedsBeforeQueueFills) {
@@ -264,11 +354,11 @@ TEST_F(ShardRouterTest, QueueWaitSloShedsBeforeQueueFills) {
   ShardedRouter& router = **created;
 
   // Seed the shard's service-time EMA with one completed 100ms row.
-  std::promise<Result<double>> first;
-  std::future<Result<double>> first_done = first.get_future();
+  std::promise<Forecasts> first;
+  std::future<Forecasts> first_done = first.get_future();
   ASSERT_TRUE(router
-                  .Submit(slow_key, {1.0},
-                          [&first](Result<double> r) {
+                  .Submit(slow_key, Ones(1, 1),
+                          [&first](Forecasts r) {
                             first.set_value(std::move(r));
                           })
                   .ok());
@@ -276,26 +366,32 @@ TEST_F(ShardRouterTest, QueueWaitSloShedsBeforeQueueFills) {
 
   // With ~100000us per row on one thread, any queued request pushes the
   // predicted wait far over the 1us SLO — a burst must shed.
+  const JsonValue before = Statsz(router);
   std::atomic<int> done{0};
   int admitted = 0;
-  int shed_slo = 0;
+  int shed = 0;
   for (int i = 0; i < 12; ++i) {
-    Admission admission = Admission::kAdmitted;
-    Status status = router.Submit(
-        slow_key, {1.0},
-        [&done](Result<double>) { done.fetch_add(1); }, &admission);
+    Status status = router.Submit(slow_key, Ones(1, 1),
+                                  [&done](Forecasts) { done.fetch_add(1); });
     if (status.ok()) {
       ++admitted;
     } else {
       EXPECT_EQ(status.code(), StatusCode::kUnavailable);
-      EXPECT_EQ(admission, Admission::kShedSlo);
-      ++shed_slo;
+      ++shed;
     }
   }
   EXPECT_GE(admitted, 1);
-  EXPECT_GE(shed_slo, 1);
+  EXPECT_GE(shed, 1);
   router.Shutdown();
   EXPECT_EQ(done.load(), admitted);
+  // Every shed was an SLO shed: the queue never came near its bound.
+  const JsonValue after = Statsz(router);
+  const size_t index = router.ShardFor(slow_key);
+  EXPECT_EQ(ShardCount(after, index, "shed_slo") -
+                ShardCount(before, index, "shed_slo"),
+            shed);
+  EXPECT_EQ(ShardCount(after, index, "shed_queue_full"),
+            ShardCount(before, index, "shed_queue_full"));
 }
 
 }  // namespace
