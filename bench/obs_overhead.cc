@@ -136,7 +136,6 @@ int main(int argc, char** argv) {
   fab::serve::BatchServerOptions options;
   options.num_threads = 2;
   options.max_batch = 128;
-  options.coalesce_wait_us = 100;
   fab::serve::BatchServer server(options);
 
   // Warm up the batch threads and code paths before the measured runs.

@@ -65,7 +65,7 @@ class RegressionTree {
 
   /// Reconstructs a fitted tree from its serialized parts (snapshot load).
   /// `gain` must have one entry per training feature; `nodes` must be a
-  /// valid node list (children in range, root at index 0).
+  /// tree rooted at index 0 in which every child follows its one parent.
   static RegressionTree FromParts(std::vector<TreeNode> nodes,
                                   std::vector<double> gain);
 

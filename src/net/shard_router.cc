@@ -100,7 +100,6 @@ Result<std::unique_ptr<ShardedRouter>> ShardedRouter::Create(
     serve::BatchServerOptions server_options;
     server_options.num_threads = options.threads_per_shard;
     server_options.max_batch = options.max_batch;
-    server_options.coalesce_wait_us = options.coalesce_wait_us;
     server_options.max_queue = options.max_shard_queue;
     server_options.shutdown_drain_ms = options.shutdown_drain_ms;
     Shard& shard = router->shards_[i];

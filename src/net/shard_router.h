@@ -30,9 +30,8 @@ struct ShardedRouterOptions {
   size_t num_shards = 4;
   /// Per-shard worker threads (ResolveThreads convention).
   int threads_per_shard = 2;
-  /// Per-shard BatchServer batching knobs.
+  /// Per-shard BatchServer batch bound, in rows.
   size_t max_batch = 64;
-  int coalesce_wait_us = 200;
   /// Hard per-shard queue bound, in rows: a request whose rows do not
   /// fit sheds (HTTP 429); one with more rows than the bound can never
   /// fit and is refused as invalid (HTTP 400).

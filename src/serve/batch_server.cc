@@ -195,19 +195,6 @@ void BatchServer::WorkerLoop() {
       // stopping_ happens with mu_ held.
       while (!stopping_ && queue_.empty()) cv_.Wait(mu_);
       if (queue_.empty()) return;  // stopping and fully drained
-      if (queued_rows_ < options_.max_batch && options_.coalesce_wait_us > 0 &&
-          !stopping_) {
-        // Hold the batch open briefly so bursty small requests coalesce
-        // instead of running one at a time.
-        const auto deadline =
-            obs::Clock::Now() +
-            std::chrono::microseconds(options_.coalesce_wait_us);
-        while (!stopping_ && queued_rows_ < options_.max_batch) {
-          if (!cv_.WaitUntil(mu_, deadline)) break;  // timed out
-        }
-        // Another worker may have drained the queue while we waited.
-        if (queue_.empty()) continue;
-      }
       // Extract the maximal run of requests for the front request's
       // model and row width, up to max_batch rows. The front request
       // always goes in, however many rows it has; extraction stops at

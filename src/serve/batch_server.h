@@ -28,9 +28,6 @@ struct BatchServerOptions {
   /// with more rows than this runs as a batch of its own; requests are
   /// never split.
   size_t max_batch = 64;
-  /// How long a worker holding a non-full batch waits for more requests
-  /// before running what it has (0 = run immediately).
-  int coalesce_wait_us = 200;
   /// Upper bound on queued-but-not-yet-batched rows (0 = unbounded).
   /// When a request's rows do not fit, Submit fails fast with
   /// kUnavailable instead of letting the queue — and with it the
@@ -97,6 +94,12 @@ struct BatchServerStats {
 /// one kernel sweep while requests for different models never mix in a
 /// batch. Every row of a request is served by the same model in the
 /// same batch.
+///
+/// Work-conserving: a worker that finds the queue non-empty runs what is
+/// there at once and never holds a batch open for more arrivals. Batches
+/// grow only from requests that queue while every worker is busy, so an
+/// idle server runs a lone request as soon as a worker wakes and a
+/// loaded one still amortizes each sweep over many rows.
 ///
 /// Thread-safe: any number of client threads may Submit concurrently.
 ///
@@ -201,8 +204,7 @@ class BatchServer {
   /// waits on it instead of polling.
   util::CondVar drained_cv_;
   std::deque<Request> queue_ FAB_GUARDED_BY(mu_);
-  /// Total rows over queue_ — what max_queue, QueueDepth and the
-  /// coalescing wait count.
+  /// Total rows over queue_ — what max_queue and QueueDepth count.
   size_t queued_rows_ FAB_GUARDED_BY(mu_) = 0;
   bool stopping_ FAB_GUARDED_BY(mu_) = false;
 

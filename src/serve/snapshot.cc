@@ -134,7 +134,9 @@ Status DecodeTree(Reader* r, size_t num_features, ml::RegressionTree* out) {
     return Status::InvalidArgument("corrupt snapshot: bad node count");
   }
   std::vector<ml::TreeNode> nodes(count);
-  for (ml::TreeNode& node : nodes) {
+  std::vector<bool> has_parent(count, false);
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    ml::TreeNode& node = nodes[i];
     FAB_RETURN_IF_ERROR(r->I32(&node.feature));
     FAB_RETURN_IF_ERROR(r->F64(&node.threshold));
     FAB_RETURN_IF_ERROR(r->I32(&node.left));
@@ -144,11 +146,18 @@ Status DecodeTree(Reader* r, size_t num_features, ml::RegressionTree* out) {
     if (node.feature >= static_cast<int>(num_features)) {
       return Status::InvalidArgument("corrupt snapshot: feature out of range");
     }
-    if (node.feature >= 0 &&
-        (node.left < 0 || node.right < 0 ||
-         node.left >= static_cast<int>(count) ||
-         node.right >= static_cast<int>(count))) {
-      return Status::InvalidArgument("corrupt snapshot: child out of range");
+    if (node.feature < 0) continue;  // leaf: its children are never read
+    // The encoder writes each node before its children, so a child must
+    // come after its parent and have no other parent. A back-edge would
+    // never let traversal end; a shared child would make flattening copy
+    // its subtree once per path to it.
+    for (const int child : {node.left, node.right}) {
+      if (child < 0 || static_cast<size_t>(child) <= i ||
+          static_cast<uint64_t>(child) >= count ||
+          has_parent[static_cast<size_t>(child)]) {
+        return Status::InvalidArgument("corrupt snapshot: bad child index");
+      }
+      has_parent[static_cast<size_t>(child)] = true;
     }
   }
   std::vector<double> gain;

@@ -173,7 +173,6 @@ TEST(BatchServerTest, MultiRowRequestsCoalesceWholeAndInRowOrder) {
   BatchServerOptions options;
   options.num_threads = 1;
   options.max_batch = 8;
-  options.coalesce_wait_us = 0;
   BatchServer server(options);
   auto parked = SubmitFuture(server, MakeSlowServable(/*delay_ms=*/100),
                              Ones(1, 1));
@@ -214,7 +213,6 @@ TEST(BatchServerTest, RequestsOfDifferentWidthsNeverShareABatch) {
   ASSERT_TRUE(echo.ok());
   BatchServerOptions options;
   options.num_threads = 1;
-  options.coalesce_wait_us = 0;
   BatchServer server(options);
   auto parked = SubmitFuture(server, MakeSlowServable(/*delay_ms=*/100),
                              Ones(1, 1));
@@ -341,10 +339,16 @@ TEST(BatchServerTest, ServesEachRequestWithItsOwnModel) {
   const std::vector<double> want_a = model_a->Predict(queries);
   const std::vector<double> want_b = model_b->Predict(queries);
 
+  // Park the only worker on a slow request so the interleaved traffic
+  // below is all queued before any of it is batched.
   BatchServerOptions options;
-  options.num_threads = 2;
+  options.num_threads = 1;
   options.max_batch = 8;
   BatchServer server(options);
+  auto parked = SubmitFuture(server, MakeSlowServable(/*delay_ms=*/100),
+                             Ones(1, 1));
+  ASSERT_TRUE(parked.ok());
+  while (server.QueueDepth() != 0) std::this_thread::yield();
 
   std::vector<std::future<Forecasts>> futures_a;
   std::vector<std::future<Forecasts>> futures_b;
@@ -356,6 +360,7 @@ TEST(BatchServerTest, ServesEachRequestWithItsOwnModel) {
     futures_a.push_back(std::move(*a));
     futures_b.push_back(std::move(*b));
   }
+  ASSERT_TRUE(parked->get().ok());
   for (size_t i = 0; i < queries.rows(); ++i) {
     Forecasts got_a = futures_a[i].get();
     Forecasts got_b = futures_b[i].get();
@@ -367,8 +372,26 @@ TEST(BatchServerTest, ServesEachRequestWithItsOwnModel) {
   // Interleaved two-model traffic still coalesces: fewer batches than
   // requests proves same-model runs were extracted, not row-at-a-time.
   const BatchServerStats stats = server.Stats();
-  EXPECT_EQ(stats.requests_completed, 2 * queries.rows());
+  EXPECT_EQ(stats.requests_completed, 1 + 2 * queries.rows());
   EXPECT_LT(stats.batches_run, stats.requests_completed);
+}
+
+TEST(BatchServerTest, IdleServerRunsALoneRequestAtOnce) {
+  // Work-conserving: a lone queued request runs as soon as a worker
+  // wakes, not after a hold for more arrivals. A server that held it
+  // open would show every wait at least as long as the hold; 200 µs is
+  // far above a condition-variable wake-up, even under the sanitizers.
+  auto servable = TrainServable(58);
+  const ml::ColMatrix queries = MakeMatrix(50, 6, 59);
+  BatchServerOptions options;
+  options.num_threads = 1;
+  BatchServer server(options);
+  for (size_t i = 0; i < queries.rows(); ++i) {
+    ASSERT_TRUE(Forecast(server, servable, RowOf(queries, i)).ok());
+  }
+  const BatchServerStats stats = server.Stats();
+  EXPECT_EQ(stats.batches_run, queries.rows());
+  EXPECT_LT(stats.p50_queue_wait_us, 200.0);
 }
 
 TEST(BatchServerTest, CallbackCompletesWithoutBlocking) {
@@ -405,7 +428,6 @@ TEST(BatchServerTest, BoundedQueueShedsWithUnavailable) {
   BatchServerOptions options;
   options.num_threads = 1;
   options.max_batch = 1;
-  options.coalesce_wait_us = 0;
   options.max_queue = 4;
   auto slow = MakeSlowServable(/*delay_ms=*/50);
   BatchServer server(options);
@@ -447,7 +469,6 @@ TEST(BatchServerTest, EstimatedQueueWaitTracksServiceTime) {
   BatchServerOptions options;
   options.num_threads = 1;
   options.max_batch = 1;
-  options.coalesce_wait_us = 0;
   auto slow = MakeSlowServable(/*delay_ms=*/20);
   BatchServer server(options);
 
@@ -504,7 +525,6 @@ TEST(BatchServerTest, ShutdownDeadlineNeverSilentlyDropsRequests) {
   BatchServerOptions options;
   options.num_threads = 1;
   options.max_batch = 1;
-  options.coalesce_wait_us = 0;
   options.shutdown_drain_ms = 60;  // ~1 slow batch worth of drain budget
   auto slow = MakeSlowServable(/*delay_ms=*/50);
   BatchServer server(options);
@@ -566,7 +586,6 @@ TEST(BatchServerTest, StartStopStartStressJoinsCleanly) {
   const ml::ColMatrix queries = MakeMatrix(16, 6, 44);
   BatchServerOptions options;
   options.num_threads = 2;
-  options.coalesce_wait_us = 50;
   BatchServer server(options);
 
   std::atomic<bool> stop{false};

@@ -279,7 +279,6 @@ TEST_F(ShardRouterTest, MultiRowRequestIsAdmittedWholeOrShedWhole) {
   options.num_shards = 2;
   options.threads_per_shard = 1;
   options.max_batch = 1;
-  options.coalesce_wait_us = 0;
   options.max_shard_queue = 4;
   options.slo_queue_wait_us = 0.0;  // isolate the queue-full path
   Result<std::unique_ptr<ShardedRouter>> created =

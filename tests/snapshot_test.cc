@@ -157,6 +157,36 @@ TEST(SnapshotTest, RejectsCorruptedHeader) {
   EXPECT_FALSE(SnapshotCodec::Load(dir + "/missing.fabsnap").ok());
 }
 
+TEST(SnapshotTest, RejectsNodeListsThatAreNotTrees) {
+  // Every child index below is in range; the shapes are what is wrong.
+  // A self-loop or back-edge would never let traversal end, and a child
+  // shared by two parents is copied once per path when flattened, so
+  // only the decode status is examined: the model is never run.
+  auto split = [](int left, int right) {
+    ml::TreeNode node;
+    node.feature = 0;
+    node.left = left;
+    node.right = right;
+    return node;
+  };
+  const ml::TreeNode leaf;
+  const std::vector<std::pair<const char*, std::vector<ml::TreeNode>>> shapes =
+      {{"self-loop", {split(0, 1), leaf}},
+       {"back-edge", {split(1, 2), split(0, 3), leaf, leaf}},
+       {"shared child", {split(1, 2), split(3, 4), split(3, 4), leaf, leaf}}};
+  for (const auto& [name, nodes] : shapes) {
+    std::vector<ml::RegressionTree> trees;
+    trees.push_back(ml::RegressionTree::FromParts(nodes, {1.0}));
+    const ml::RandomForestRegressor rf = ml::RandomForestRegressor::FromFitted(
+        ml::ForestParams{}, std::move(trees), /*num_features=*/1);
+    auto encoded = SnapshotCodec::Encode(rf);
+    ASSERT_TRUE(encoded.ok()) << name;
+    EXPECT_EQ(SnapshotCodec::Decode(*encoded).status().code(),
+              StatusCode::kInvalidArgument)
+        << name;
+  }
+}
+
 TEST(SnapshotTest, ProbeReportsKind) {
   const ml::ColMatrix train = MakeMatrix(120, 4, 14);
   ml::ForestParams params;
