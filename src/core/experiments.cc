@@ -40,7 +40,7 @@ ExperimentConfig ExperimentConfig::FromEnv() {
   cfg.seed = EnvU64("FAB_SEED", 42);
   cfg.fast = EnvFlag("FAB_FAST");
   cfg.cache_dir = EnvStr("FAB_CACHE_DIR", ".fab_cache");
-  cfg.num_threads = static_cast<int>(EnvU64("FAB_THREADS", 0));
+  cfg.num_threads = util::EnvThreads();
 
   // FRA inner models: light but expressive.
   cfg.fra.rf.n_trees = cfg.fast ? 15 : 40;

@@ -22,8 +22,10 @@ namespace fab::core {
 ///   FAB_SEED       master seed (default 42)
 ///   FAB_FAST       1 = small models / row limits for smoke runs
 ///   FAB_CACHE_DIR  artifact cache root (default ".fab_cache")
-///   FAB_THREADS    shared-pool width (0 = hardware concurrency); any
-///                  value produces bitwise-identical artifacts
+///   FAB_THREADS    shared-pool width, read by util::EnvThreads: digits
+///                  only, capped at util::kMaxEnvThreads; 0, unset or
+///                  malformed = hardware concurrency. Any value produces
+///                  bitwise-identical artifacts
 struct ExperimentConfig {
   uint64_t seed = 42;
   bool fast = false;

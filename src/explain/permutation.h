@@ -25,6 +25,11 @@ struct PermutationOptions {
 /// the effect on actual predictive performance, which the paper uses to
 /// offset training-bias in impurity importances. Returns one value per
 /// feature (larger = more important; ≈0 or negative = irrelevant).
+///
+/// A RandomForestRegressor or GbdtRegressor is scored by re-walking only
+/// the (tree, row) pairs whose path tests the shuffled feature; any other
+/// regressor predicts on a copy of the matrix with the column shuffled.
+/// Both give bitwise the same result.
 [[nodiscard]] Result<std::vector<double>> PermutationImportance(
     const ml::Regressor& model, const ml::Dataset& data,
     const PermutationOptions& options);

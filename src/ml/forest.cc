@@ -77,19 +77,17 @@ double RandomForestRegressor::PredictOne(const ColMatrix& x,
                                          size_t row) const {
   double sum = 0.0;
   for (const RegressionTree& tree : trees_) sum += tree.PredictOne(x, row);
-  return trees_.empty() ? 0.0 : sum / static_cast<double>(trees_.size());
+  return PredictFromTreeSum(sum);
 }
 
 std::vector<double> RandomForestRegressor::Predict(const ColMatrix& x) const {
   std::vector<double> out(x.rows(), 0.0);
-  if (trees_.empty()) return out;
   for (const RegressionTree& tree : trees_) {
     for (size_t r = 0; r < x.rows(); ++r) out[r] += tree.PredictOne(x, r);
   }
-  // Same tree order and final division as PredictOne, so batch and
+  // Same tree order and final formula as PredictOne, so batch and
   // per-row predictions are bitwise identical.
-  const double n = static_cast<double>(trees_.size());
-  for (double& v : out) v /= n;
+  for (double& v : out) v = PredictFromTreeSum(v);
   return out;
 }
 

@@ -29,7 +29,7 @@ struct ForestParams {
   int num_threads = 0;
 };
 
-/// Bagged ensemble of exact-greedy CART trees with per-node feature
+/// Bagged ensemble of histogram-based CART trees with per-node feature
 /// subsampling. Prediction is the mean of tree predictions; importances
 /// are gain-based MDI averaged over trees.
 class RandomForestRegressor : public Regressor {
@@ -48,6 +48,14 @@ class RandomForestRegressor : public Regressor {
   std::unique_ptr<Regressor> CloneUnfitted() const override;
   std::vector<double> FeatureImportances() const override;
   std::string name() const override { return "rf"; }
+
+  /// The forest's prediction from the sum of its trees' leaf values for
+  /// one row, added in tree order starting from 0.0: their mean. Predict,
+  /// PredictOne and permutation importance all finish through this.
+  double PredictFromTreeSum(double tree_sum) const {
+    return trees_.empty() ? 0.0
+                          : tree_sum / static_cast<double>(trees_.size());
+  }
 
   const ForestParams& params() const { return params_; }
   const std::vector<RegressionTree>& trees() const { return trees_; }

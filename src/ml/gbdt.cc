@@ -1,6 +1,5 @@
 #include "ml/gbdt.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "util/obs/metrics.h"
@@ -67,26 +66,18 @@ Status GbdtRegressor::Fit(const ColMatrix& x, const std::vector<double>& y) {
 }
 
 double GbdtRegressor::PredictOne(const ColMatrix& x, size_t row) const {
-  // Unfitted: the base prediction, mirroring RandomForestRegressor's
-  // fitted-state behaviour (no tree walks, no scaling).
-  if (trees_.empty()) return base_score_;
   double acc = 0.0;
   for (const RegressionTree& tree : trees_) acc += tree.PredictOne(x, row);
-  // One multiply per prediction instead of one per tree.
-  return base_score_ + params_.learning_rate * acc;
+  return PredictFromTreeSum(acc);
 }
 
 std::vector<double> GbdtRegressor::Predict(const ColMatrix& x) const {
   std::vector<double> out(x.rows(), 0.0);
-  if (trees_.empty()) {
-    std::fill(out.begin(), out.end(), base_score_);
-    return out;
-  }
   for (const RegressionTree& tree : trees_) {
     for (size_t r = 0; r < x.rows(); ++r) out[r] += tree.PredictOne(x, r);
   }
   // Same accumulation order as PredictOne → bitwise-identical output.
-  for (double& v : out) v = base_score_ + params_.learning_rate * v;
+  for (double& v : out) v = PredictFromTreeSum(v);
   return out;
 }
 

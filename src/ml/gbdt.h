@@ -30,10 +30,10 @@ struct GbdtParams {
 
 /// Second-order gradient boosting for squared loss.
 ///
-/// Each round fits a regularized exact-greedy tree to the current
-/// gradients (g = pred - y, h = 1 under squared loss) and shrinks its
-/// contribution by the learning rate — for squared loss this is exactly
-/// XGBoost's exact greedy algorithm.
+/// Each round fits a regularized histogram tree to the current gradients
+/// (g = pred - y, h = 1 under squared loss) and shrinks its contribution
+/// by the learning rate: XGBoost's second-order objective, with splits
+/// taken at quantile-bin edges as in XGBoost's `hist` method.
 class GbdtRegressor : public Regressor {
  public:
   GbdtRegressor() = default;
@@ -47,6 +47,17 @@ class GbdtRegressor : public Regressor {
   std::unique_ptr<Regressor> CloneUnfitted() const override;
   std::vector<double> FeatureImportances() const override;
   std::string name() const override { return "xgb"; }
+
+  /// The booster's prediction from the sum of its trees' leaf values for
+  /// one row, added in tree order starting from 0.0: one learning-rate
+  /// multiply per prediction instead of one per tree. Predict, PredictOne
+  /// and permutation importance all finish through this.
+  double PredictFromTreeSum(double tree_sum) const {
+    // Unfitted: the base prediction, mirroring RandomForestRegressor's
+    // fitted-state behaviour (no tree walks, no scaling).
+    return trees_.empty() ? base_score_
+                          : base_score_ + params_.learning_rate * tree_sum;
+  }
 
   const GbdtParams& params() const { return params_; }
   double base_score() const { return base_score_; }

@@ -1,7 +1,5 @@
 #include "ml/matrix.h"
 
-#include <algorithm>
-#include <numeric>
 #include <unordered_map>
 
 namespace fab::ml {
@@ -30,20 +28,6 @@ ColMatrix ColMatrix::TakeRows(const std::vector<int>& rows) const {
     }
   }
   return out;
-}
-
-void ColMatrix::BuildSortIndex() {
-  if (!sorted_.empty()) return;
-  sorted_.resize(cols_);
-  for (size_t c = 0; c < cols_; ++c) {
-    std::vector<int>& order = sorted_[c];
-    order.resize(rows_);
-    std::iota(order.begin(), order.end(), 0);
-    const std::vector<double>& col = data_[c];
-    std::stable_sort(order.begin(), order.end(), [&col](int a, int b) {
-      return col[static_cast<size_t>(a)] < col[static_cast<size_t>(b)];
-    });
-  }
 }
 
 Dataset Dataset::TakeRows(const std::vector<int>& rows) const {

@@ -10,14 +10,13 @@
 
 namespace fab::ml {
 
-/// A dense column-major feature matrix with optional per-column presorted
-/// row orders (the accelerator for exact greedy tree construction).
+/// A dense column-major feature matrix: the raw (unbinned) values every
+/// model trains and predicts on.
 ///
-/// Tree building touches features column-wise, so columns are contiguous.
-/// `BuildSortIndex()` computes, once, the row permutation that sorts each
-/// column ascending; `RegressionTree` then partitions those permutations
-/// in place per node, making a full tree build O(features × rows × depth)
-/// instead of O(features × rows × log(rows) × nodes).
+/// Features are read column-wise (binning, correlations, a permutation
+/// shuffle), so each column is one contiguous vector. Trees do not split
+/// on it directly: `BinnedMatrix::Build` quantizes it once per fit and the
+/// histogram builder works on those bin codes.
 class ColMatrix {
  public:
   ColMatrix() = default;
@@ -57,25 +56,10 @@ class ColMatrix {
   /// New matrix holding the given rows (duplicates allowed), all columns.
   ColMatrix TakeRows(const std::vector<int>& rows) const;
 
-  /// Computes the per-column ascending row orders. Idempotent; call before
-  /// sharing the matrix across tree-building threads.
-  void BuildSortIndex();
-
-  bool has_sort_index() const { return !sorted_.empty(); }
-
-  /// Row indices that sort `col` ascending. Requires BuildSortIndex().
-  const std::vector<int>& sorted_order(size_t col) const {
-    FAB_DCHECK(col < sorted_.size())
-        << "sorted_order(" << col << ") without BuildSortIndex (have "
-        << sorted_.size() << " columns)";
-    return sorted_[col];
-  }
-
  private:
   size_t rows_ = 0;
   size_t cols_ = 0;
   std::vector<std::vector<double>> data_;
-  std::vector<std::vector<int>> sorted_;
 };
 
 /// A supervised dataset: features, target, and feature names.

@@ -1,12 +1,16 @@
 #include "ml/tree.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 
 namespace fab::ml {
 
 namespace {
+
+constexpr size_t kBins = 256;  // bin codes are uint8_t
+constexpr size_t kMaskWords = kBins / 64;
 
 /// Per-bin gradient/hessian accumulator.
 struct BinStat {
@@ -40,8 +44,7 @@ class TreeBuilder {
     tmp_i_.resize(m);
     tmp_g_.resize(m);
     tmp_h_.resize(m);
-    hist_.resize(256);
-    touched_.reserve(256);
+    hist_.resize(kBins);
     pool_.resize(x_.cols());
     std::iota(pool_.begin(), pool_.end(), 0);
   }
@@ -57,6 +60,29 @@ class TreeBuilder {
   double LeafValue(double g, double h) const {
     const double denom = h + params_.lambda;
     return denom > 0.0 ? -g / denom : 0.0;
+  }
+
+  /// Lowest occupied bin >= from, or kBins when there is none.
+  size_t OccupiedFrom(size_t from) const {
+    size_t w = from / 64;
+    if (w >= kMaskWords) return kBins;
+    uint64_t bits = occupied_[w] & (~uint64_t{0} << (from % 64));
+    while (bits == 0) {
+      if (++w == kMaskWords) return kBins;
+      bits = occupied_[w];
+    }
+    return w * 64 + static_cast<size_t>(std::countr_zero(bits));
+  }
+
+  /// Highest occupied bin (0 when none is).
+  size_t HighestOccupied() const {
+    for (size_t w = kMaskWords; w-- > 0;) {
+      if (occupied_[w] != 0) {
+        return w * 64 + 63 -
+               static_cast<size_t>(std::countl_zero(occupied_[w]));
+      }
+    }
+    return 0;
   }
 
   int BuildNode(size_t start, size_t end, double node_g, double node_h,
@@ -98,18 +124,17 @@ class TreeBuilder {
       if (nb < 2) continue;
       const std::vector<uint8_t>& codes = x_.codes(j);
       // hist_ is all-zero on entry (restored after each feature). For
-      // nodes smaller than the bin count, track only touched bins.
+      // nodes smaller than the bin count, mark the occupied bins in
+      // occupied_ (all-zero on entry too) so only those are visited.
       const bool sparse = (end - start) < static_cast<size_t>(nb);
-      touched_.clear();
       if (sparse) {
         for (size_t k = start; k < end; ++k) {
           const uint8_t c = codes[static_cast<size_t>(indices_[k])];
+          occupied_[c / 64] |= uint64_t{1} << (c % 64);
           BinStat& s = hist_[c];
-          if (s.g == 0.0 && s.h == 0.0) touched_.push_back(c);
           s.g += g_[k];
           s.h += h_[k];
         }
-        std::sort(touched_.begin(), touched_.end());
       } else {
         for (size_t k = start; k < end; ++k) {
           BinStat& s = hist_[codes[static_cast<size_t>(indices_[k])]];
@@ -119,13 +144,14 @@ class TreeBuilder {
       }
       // Scan split points between bins (left = codes <= b). In the sparse
       // path only occupied bins matter: splitting between two occupied
-      // bins is equivalent to splitting at the lower one.
+      // bins is equivalent to splitting at the lower one, and splitting at
+      // the highest leaves the right side empty.
       double gl = 0.0;
       double hl = 0.0;
-      const size_t scan_count =
-          sparse ? touched_.size() : static_cast<size_t>(nb);
-      for (size_t bb = 0; bb + 1 < scan_count; ++bb) {
-        const size_t b = sparse ? touched_[bb] : bb;
+      const size_t stop =
+          sparse ? HighestOccupied() : static_cast<size_t>(nb - 1);
+      for (size_t b = sparse ? OccupiedFrom(0) : 0; b < stop;
+           b = sparse ? OccupiedFrom(b + 1) : b + 1) {
         gl += hist_[b].g;
         hl += hist_[b].h;
         if (hl < params_.min_child_weight) continue;
@@ -141,9 +167,15 @@ class TreeBuilder {
           best_bin = static_cast<int>(b);
         }
       }
-      // Restore the all-zero invariant.
+      // Restore the all-zero invariants.
       if (sparse) {
-        for (size_t b : touched_) hist_[b] = BinStat{};
+        for (size_t w = 0; w < kMaskWords; ++w) {
+          for (uint64_t bits = occupied_[w]; bits != 0; bits &= bits - 1) {
+            hist_[w * 64 + static_cast<size_t>(std::countr_zero(bits))] =
+                BinStat{};
+          }
+          occupied_[w] = 0;
+        }
       } else {
         for (int b = 0; b < nb; ++b) hist_[static_cast<size_t>(b)] = BinStat{};
       }
@@ -209,7 +241,9 @@ class TreeBuilder {
   std::vector<double> tmp_g_;
   std::vector<double> tmp_h_;
   std::vector<BinStat> hist_;
-  std::vector<size_t> touched_;
+  // The sparse path's occupied bins, one bit per bin code: walking it low
+  // to high visits them in the order sorting a bin list would.
+  uint64_t occupied_[kMaskWords] = {};
   std::vector<int> pool_;
   double total_g_ = 0.0;
   double total_h_ = 0.0;
@@ -243,13 +277,7 @@ Status RegressionTree::Fit(const BinnedMatrix& x, const std::vector<double>& g,
 
 double RegressionTree::PredictOne(const ColMatrix& x, size_t row) const {
   if (nodes_.empty()) return 0.0;
-  int id = 0;
-  while (nodes_[static_cast<size_t>(id)].feature >= 0) {
-    const TreeNode& node = nodes_[static_cast<size_t>(id)];
-    const double v = x.at(row, static_cast<size_t>(node.feature));
-    id = v <= node.threshold ? node.left : node.right;
-  }
-  return nodes_[static_cast<size_t>(id)].value;
+  return nodes_[LeafIndex([&](size_t f) { return x.at(row, f); })].value;
 }
 
 RegressionTree RegressionTree::FromParts(std::vector<TreeNode> nodes,

@@ -63,6 +63,22 @@ class RegressionTree {
   /// schema; thresholds are real feature values.
   double PredictOne(const ColMatrix& x, size_t row) const;
 
+  /// Index into nodes() of the leaf a row reaches, where `value(f)` is the
+  /// row's value of feature `f`; it is called once per node on the path,
+  /// root first. The one tree walk: PredictOne and permutation importance
+  /// (which substitutes a shuffled value) both go through it. Requires a
+  /// fitted tree.
+  template <typename ValueOf>
+  size_t LeafIndex(const ValueOf& value) const {
+    size_t id = 0;
+    while (nodes_[id].feature >= 0) {
+      const TreeNode& node = nodes_[id];
+      const double v = value(static_cast<size_t>(node.feature));
+      id = static_cast<size_t>(v <= node.threshold ? node.left : node.right);
+    }
+    return id;
+  }
+
   /// Reconstructs a fitted tree from its serialized parts (snapshot load).
   /// `gain` must have one entry per training feature; `nodes` must be a
   /// tree rooted at index 0 in which every child follows its one parent.

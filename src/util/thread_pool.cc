@@ -33,13 +33,21 @@ obs::Counter& TasksEnqueuedCounter() {
   return counter;
 }
 
+}  // namespace
+
 int EnvThreads() {
   const char* v = std::getenv("FAB_THREADS");
-  if (v == nullptr || *v == '\0') return 0;
-  return static_cast<int>(std::strtol(v, nullptr, 10));
+  // A leading digit rules out empty, signed and space-padded values.
+  if (v == nullptr || *v < '0' || *v > '9') return 0;
+  char* end = nullptr;
+  const unsigned long long n = std::strtoull(v, &end, 10);
+  if (*end != '\0') return 0;
+  // strtoull saturates on overflow, so huge values land here too.
+  if (n > static_cast<unsigned long long>(kMaxEnvThreads)) {
+    return kMaxEnvThreads;
+  }
+  return static_cast<int>(n);
 }
-
-}  // namespace
 
 int ResolveThreads(int requested) {
   if (requested > 0) return requested;

@@ -22,6 +22,17 @@ namespace fab::util {
 /// report it). Always returns >= 1.
 int ResolveThreads(int requested);
 
+/// The most shared-pool workers FAB_THREADS can ask for; a larger value
+/// is read as this.
+inline constexpr int kMaxEnvThreads = 256;
+
+/// The shared-pool width the FAB_THREADS environment variable asks for,
+/// under the ResolveThreads convention. The value must be a plain decimal
+/// number (digits only); unset, empty or malformed reads as 0, hardware
+/// concurrency, and a value above kMaxEnvThreads reads as kMaxEnvThreads.
+/// SharedPool and core::ExperimentConfig::FromEnv both read it here.
+int EnvThreads();
+
 /// Fixed-size worker pool ("work-stealing-lite"): one shared FIFO task
 /// queue drained by `num_threads` workers, plus a caller-participates
 /// `ParallelFor` whose chunk results land in caller-visible, index-owned
@@ -95,7 +106,7 @@ class ThreadPool {
 
 /// The process-wide pool every analysis stage (FRA fits, PFI, SHAP, CV
 /// folds, scenario fan-out, forest training) shares. Sized on first use
-/// from the FAB_THREADS environment knob via ResolveThreads; resize with
+/// from the FAB_THREADS environment knob (EnvThreads); resize with
 /// SetSharedPoolThreads.
 ///
 /// Returns a shared_ptr copied out under the singleton lock — never a

@@ -98,13 +98,24 @@ TEST_F(DeterminismTest, ForestFitBitwiseInvariant) {
 TEST_F(DeterminismTest, PermutationImportanceBitwiseInvariant) {
   ml::RandomForestRegressor rf(SmallForest());
   ASSERT_TRUE(rf.Fit(train_.x, train_.y).ok());
+  ml::GbdtParams xgb_params;
+  xgb_params.n_rounds = 20;
+  xgb_params.max_depth = 3;
+  xgb_params.subsample = 0.9;
+  xgb_params.colsample = 0.8;
+  xgb_params.seed = 29;
+  ml::GbdtRegressor xgb(xgb_params);
+  ASSERT_TRUE(xgb.Fit(train_.x, train_.y).ok());
   ExpectInvariantAcrossThreadCounts([&] {
     explain::PermutationOptions options;
     options.n_repeats = 2;
     options.seed = 55;
-    const auto imp = explain::PermutationImportance(rf, valid_, options);
-    EXPECT_TRUE(imp.ok());
-    return *imp;
+    const auto rf_imp = explain::PermutationImportance(rf, valid_, options);
+    const auto xgb_imp = explain::PermutationImportance(xgb, valid_, options);
+    EXPECT_TRUE(rf_imp.ok() && xgb_imp.ok());
+    std::vector<double> out = *rf_imp;
+    out.insert(out.end(), xgb_imp->begin(), xgb_imp->end());
+    return out;
   });
 }
 

@@ -6,6 +6,7 @@
 #include <filesystem>
 
 #include "serve/registry.h"
+#include "util/thread_pool.h"
 
 namespace fab::core {
 namespace {
@@ -57,6 +58,36 @@ TEST_F(ExperimentsTest, FromEnvReadsVariables) {
   const ExperimentConfig defaults = ExperimentConfig::FromEnv();
   EXPECT_EQ(defaults.seed, 42u);
   EXPECT_FALSE(defaults.fast);
+}
+
+TEST_F(ExperimentsTest, FromEnvValidatesThreads) {
+  // FAB_THREADS must be digits only; anything else means unset (0, the
+  // hardware width) and a huge value is capped instead of wrapping.
+  const struct {
+    const char* value;
+    int want;
+  } cases[] = {
+      {"3", 3},
+      {"0", 0},
+      {"256", util::kMaxEnvThreads},
+      {"257", util::kMaxEnvThreads},
+      {"99999999999", util::kMaxEnvThreads},
+      {"4294967297", util::kMaxEnvThreads},
+      {"99999999999999999999999", util::kMaxEnvThreads},
+      {"-5", 0},
+      {"+4", 0},
+      {" 4", 0},
+      {"8x", 0},
+      {"4.5", 0},
+      {"", 0},
+  };
+  for (const auto& c : cases) {
+    ::setenv("FAB_THREADS", c.value, 1);
+    EXPECT_EQ(ExperimentConfig::FromEnv().num_threads, c.want)
+        << "FAB_THREADS=\"" << c.value << "\"";
+  }
+  ::unsetenv("FAB_THREADS");
+  EXPECT_EQ(ExperimentConfig::FromEnv().num_threads, 0);
 }
 
 TEST_F(ExperimentsTest, MarketIsMemoized) {

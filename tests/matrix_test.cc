@@ -40,19 +40,6 @@ TEST(ColMatrixTest, TakeRowsGathersWithDuplicates) {
   EXPECT_DOUBLE_EQ(sub.at(2, 1), 30.0);
 }
 
-TEST(ColMatrixTest, SortIndexOrdersColumns) {
-  auto m = ColMatrix::FromColumns({{3, 1, 2}});
-  m->BuildSortIndex();
-  ASSERT_TRUE(m->has_sort_index());
-  EXPECT_EQ(m->sorted_order(0), (std::vector<int>{1, 2, 0}));
-}
-
-TEST(ColMatrixTest, SortIndexStableOnTies) {
-  auto m = ColMatrix::FromColumns({{2, 2, 1}});
-  m->BuildSortIndex();
-  EXPECT_EQ(m->sorted_order(0), (std::vector<int>{2, 0, 1}));
-}
-
 Dataset MakeDataset() {
   Dataset d;
   d.x = *ColMatrix::FromColumns({{1, 2, 3}, {4, 5, 6}, {7, 8, 9}});
