@@ -1,5 +1,6 @@
 #include "core/experiments.h"
 
+#include <cerrno>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -19,8 +20,11 @@ namespace {
 
 uint64_t EnvU64(const char* name, uint64_t fallback) {
   const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::strtoull(v, nullptr, 10);
+  if (v == nullptr || !IsDecimalDigits(v)) return fallback;
+  // strtoull flags a value above 2^64-1 with ERANGE; it reads as unset.
+  errno = 0;
+  const unsigned long long n = std::strtoull(v, nullptr, 10);
+  return errno == ERANGE ? fallback : static_cast<uint64_t>(n);
 }
 
 bool EnvFlag(const char* name) {

@@ -19,7 +19,8 @@
 namespace fab::core {
 
 /// Global configuration of the reproduction pipeline. `FromEnv()` honours:
-///   FAB_SEED       master seed (default 42)
+///   FAB_SEED       master seed: digits only, at most 2^64-1; unset,
+///                  empty, malformed or larger = 42
 ///   FAB_FAST       1 = small models / row limits for smoke runs
 ///   FAB_CACHE_DIR  artifact cache root (default ".fab_cache")
 ///   FAB_THREADS    shared-pool width, read by util::EnvThreads: digits

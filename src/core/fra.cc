@@ -52,7 +52,7 @@ Result<MethodImportances> EvaluateMethods(const ml::Dataset& sub,
   // The two model fits are independent (each seeds its own RNG from the
   // iteration seed), as are the two PFI passes afterwards — run each pair
   // concurrently on the shared pool. Inner parallelism (tree training,
-  // per-feature PFI) nests safely by running inline on the worker.
+  // per-feature PFI) nests: its indices go to whichever workers are idle.
   ml::RandomForestRegressor rf(rf_params);
   ml::GbdtRegressor xgb(xgb_params);
   Status fit_status[2];

@@ -390,9 +390,9 @@ Result<SweepReport> RunSweep(const SweepOptions& options) {
   }
 
   // Cell fan-out on the shared pool. Each cell builds its own
-  // Experiments (manage_shared_pool=false) and runs the inner
-  // PrecomputeAll fan-out inline on the worker — ParallelFor nests
-  // without deadlock by design.
+  // Experiments (manage_shared_pool=false) whose inner PrecomputeAll
+  // fan-out shares the same pool's idle workers — ParallelFor nests
+  // without deadlock by design (util/thread_pool.h).
   FAB_TRACE_SCOPE("core/sweep", {{"cells", cells.size()}});
   std::vector<CellOutcome> outcomes(cells.size());
   util::ParallelFor(0, cells.size(), [&](size_t i) {

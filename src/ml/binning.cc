@@ -1,7 +1,7 @@
 #include "ml/binning.h"
 
 #include <algorithm>
-#include <cmath>
+#include <utility>
 
 namespace fab::ml {
 
@@ -15,11 +15,16 @@ Result<BinnedMatrix> BinnedMatrix::Build(const ColMatrix& x, int max_bins) {
   out.upper_edges_.resize(x.cols());
 
   const size_t n = x.rows();
-  std::vector<double> sorted;
+  // (value, row) pairs sorted on the value alone: this makes the same
+  // comparisons and moves as sorting the bare values would, so the edges
+  // (signed zeros included) are those of a plain value sort, and the rows
+  // come along for the code sweep.
+  std::vector<std::pair<double, uint64_t>> sorted(n);
   for (size_t c = 0; c < x.cols(); ++c) {
     const std::vector<double>& col = x.column(c);
-    sorted = col;
-    std::sort(sorted.begin(), sorted.end());
+    for (size_t i = 0; i < n; ++i) sorted[i] = {col[i], i};
+    std::sort(sorted.begin(), sorted.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
 
     // Candidate edges at evenly spaced quantiles; deduplicate so every
     // bin holds a distinct value range. The last edge is the max value.
@@ -30,22 +35,23 @@ Result<BinnedMatrix> BinnedMatrix::Build(const ColMatrix& x, int max_bins) {
         // Upper edge of bin b at the b/max_bins quantile.
         size_t pos = static_cast<size_t>(b) * n / static_cast<size_t>(max_bins);
         pos = pos == 0 ? 0 : std::min(pos - 1, n - 1);
-        const double v = sorted[pos];
+        const double v = sorted[pos].first;
         if (edges.empty() || v > edges.back()) edges.push_back(v);
       }
-      edges.back() = sorted.back();
+      edges.back() = sorted.back().first;
     } else {
       edges.push_back(0.0);
     }
 
-    // Assign codes: the first bin whose upper edge >= value.
+    // Assign codes: the first bin whose upper edge >= value (lower_bound's
+    // rule, clamped to the last bin). Values arrive in ascending order, so
+    // the bin only moves forward.
     std::vector<uint8_t>& codes = out.codes_[c];
     codes.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      const auto it = std::lower_bound(edges.begin(), edges.end(), col[i]);
-      const size_t b = it == edges.end() ? edges.size() - 1
-                                         : static_cast<size_t>(it - edges.begin());
-      codes[i] = static_cast<uint8_t>(b);
+    size_t b = 0;
+    for (const auto& [value, row] : sorted) {
+      while (b + 1 < edges.size() && edges[b] < value) ++b;
+      codes[row] = static_cast<uint8_t>(b);
     }
   }
   return out;

@@ -1,5 +1,6 @@
 #include "util/string_util.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -29,6 +30,12 @@ std::string Join(const std::vector<std::string>& parts,
     out += parts[i];
   }
   return out;
+}
+
+bool IsDecimalDigits(const std::string& s) {
+  return !s.empty() && std::all_of(s.begin(), s.end(), [](char c) {
+    return c >= '0' && c <= '9';
+  });
 }
 
 std::string Trim(const std::string& s) {

@@ -14,6 +14,11 @@ std::vector<std::string> Split(const std::string& s, char delim);
 std::string Join(const std::vector<std::string>& parts,
                  const std::string& delim);
 
+/// True when `s` is a plain decimal number: one or more ASCII digits and
+/// nothing else (no sign, space, point or suffix). util::EnvThreads and
+/// core::ExperimentConfig::FromEnv read their numeric knobs by this rule.
+bool IsDecimalDigits(const std::string& s);
+
 /// Copy of `s` with leading/trailing ASCII whitespace removed.
 std::string Trim(const std::string& s);
 

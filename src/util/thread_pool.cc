@@ -1,20 +1,76 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
+#include <exception>
 
 #include "util/obs/clock.h"
 #include "util/obs/metrics.h"
 #include "util/obs/trace.h"
 #include "util/obs/trace_context.h"
+#include "util/string_util.h"
 
 namespace fab::util {
 
 namespace {
 
-/// Set for the lifetime of every pool worker thread (any pool), so nested
-/// ParallelFor calls can detect they are already on a worker.
-thread_local bool t_in_pool_worker = false;
+/// The pool whose worker the calling thread is, or null off the pools;
+/// set for the lifetime of every worker thread. util::ParallelFor sends a
+/// worker's nested calls to its own pool through it.
+thread_local ThreadPool* t_worker_pool = nullptr;
+
+/// One ParallelFor call, shared by its caller and its helper tasks. Every
+/// participant claims indices from `next` until it passes `end`, then
+/// reports how many it ran and its lowest throwing index. A helper
+/// touches `*fn` only after claiming an index below `end`, and the caller
+/// returns only once every claimed index has finished, so `fn` outlives
+/// every call of it; a helper that starts after the range is drained
+/// reads only `next` and `end`.
+struct ParallelJob {
+  ParallelJob(const std::function<void(size_t)>& fn_in, size_t begin,
+              size_t end_in)
+      : fn(&fn_in), end(end_in), next(begin), remaining(end_in - begin) {}
+
+  /// Runs claimed indices until the range is drained.
+  void Drain() FAB_EXCLUDES(mu) {
+    size_t ran = 0;
+    size_t error_at = 0;
+    std::exception_ptr error;
+    for (size_t i = next.fetch_add(1); i < end; i = next.fetch_add(1)) {
+      try {
+        (*fn)(i);
+        // Not swallowed: a participant claims indices in increasing
+        // order, so its first exception is its lowest; the lowest of all
+        // participants is rethrown by the caller once every index ran.
+      } catch (...) {  // fablint:allow(safety-catch-all)
+        if (error == nullptr) {
+          error_at = i;
+          error = std::current_exception();
+        }
+      }
+      ++ran;
+    }
+    if (ran == 0) return;
+    MutexLock lock(mu);
+    if (error != nullptr &&
+        (first_error == nullptr || error_at < first_error_at)) {
+      first_error_at = error_at;
+      first_error = std::move(error);
+    }
+    remaining -= ran;
+    if (remaining == 0) done.NotifyAll();
+  }
+
+  const std::function<void(size_t)>* const fn;
+  const size_t end;
+  std::atomic<size_t> next;
+  Mutex mu;
+  CondVar done;
+  size_t remaining FAB_GUARDED_BY(mu);
+  size_t first_error_at FAB_GUARDED_BY(mu) = 0;
+  std::exception_ptr first_error FAB_GUARDED_BY(mu);
+};
 
 // Pool telemetry (shared across pool instances — the interesting signal
 // is process-wide pressure on the shared pool). Fetched once; Record /
@@ -37,12 +93,9 @@ obs::Counter& TasksEnqueuedCounter() {
 
 int EnvThreads() {
   const char* v = std::getenv("FAB_THREADS");
-  // A leading digit rules out empty, signed and space-padded values.
-  if (v == nullptr || *v < '0' || *v > '9') return 0;
-  char* end = nullptr;
-  const unsigned long long n = std::strtoull(v, &end, 10);
-  if (*end != '\0') return 0;
+  if (v == nullptr || !IsDecimalDigits(v)) return 0;
   // strtoull saturates on overflow, so huge values land here too.
+  const unsigned long long n = std::strtoull(v, nullptr, 10);
   if (n > static_cast<unsigned long long>(kMaxEnvThreads)) {
     return kMaxEnvThreads;
   }
@@ -60,7 +113,7 @@ ThreadPool::ThreadPool(int num_threads) {
   workers_.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     workers_.emplace_back([this] {
-      t_in_pool_worker = true;
+      t_worker_pool = this;
       WorkerLoop();
     });
   }
@@ -76,8 +129,6 @@ ThreadPool::~ThreadPool() {
     if (worker.joinable()) worker.join();
   }
 }
-
-bool ThreadPool::InWorker() { return t_in_pool_worker; }
 
 void ThreadPool::Enqueue(std::function<void()> task) {
   // Trace-context propagation: a task submitted while a request context
@@ -125,50 +176,28 @@ void ThreadPool::ParallelFor(size_t begin, size_t end,
                              const std::function<void(size_t)>& fn,
                              int max_parallel) {
   if (begin >= end) return;
-  const size_t len = end - begin;
-  size_t chunks = static_cast<size_t>(
-      max_parallel > 0 ? std::min(max_parallel, num_threads())
-                       : num_threads());
-  chunks = std::min(chunks, len);
-  // Inline fast path: trivial range, serial cap, or already on a worker
-  // (nested parallelism) — same fn(i) calls, so identical results.
-  if (chunks <= 1 || InWorker()) {
-    for (size_t i = begin; i < end; ++i) fn(i);
-    return;
+  const int width = max_parallel > 0 && max_parallel < num_threads()
+                        ? max_parallel
+                        : num_threads();
+  const size_t helpers = std::min(static_cast<size_t>(width), end - begin) - 1;
+  // With no helpers the caller drains the whole range inline.
+  auto job = std::make_shared<ParallelJob>(fn, begin, end);
+  for (size_t h = 0; h < helpers; ++h) {
+    Enqueue([job] { job->Drain(); });
   }
-
-  // Contiguous even split; chunk c covers [begin + c*len/chunks,
-  // begin + (c+1)*len/chunks). The caller runs chunk 0 itself while the
-  // pool runs the rest.
-  auto run_chunk = [&](size_t c) {
-    const size_t lo = begin + c * len / chunks;
-    const size_t hi = begin + (c + 1) * len / chunks;
-    for (size_t i = lo; i < hi; ++i) fn(i);
-  };
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks - 1);
-  for (size_t c = 1; c < chunks; ++c) {
-    futures.push_back(Submit([run_chunk, c] { run_chunk(c); }));
+  job->Drain();
+  std::exception_ptr error;
+  {
+    MutexLock lock(job->mu);
+    while (job->remaining != 0) job->done.Wait(job->mu);
+    // Moved out, not copied: a helper may drop the last job reference
+    // after this call returns, and must not be the one that frees the
+    // exception the caller rethrows. (The free would be ordered only by
+    // exception_ptr's reference count inside libstdc++, which
+    // ThreadSanitizer cannot see.)
+    error = std::move(job->first_error);
   }
-  std::exception_ptr first_error;
-  try {
-    run_chunk(0);
-    // Not swallowed: the exception is stored and rethrown below, after every
-    // chunk has been joined (rethrowing early would let tasks outlive `fn`).
-  } catch (...) {  // fablint:allow(safety-catch-all)
-    first_error = std::current_exception();
-  }
-  // Wait for every chunk before rethrowing so no task outlives `fn`.
-  for (auto& future : futures) {
-    try {
-      future.get();
-      // Not swallowed: first exception wins and is rethrown below; later
-      // ones are dropped deliberately to mirror serial first-failure order.
-    } catch (...) {  // fablint:allow(safety-catch-all)
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  if (error != nullptr) std::rethrow_exception(error);
 }
 
 namespace {
@@ -203,12 +232,12 @@ void SetSharedPoolThreads(int num_threads) {
 
 void ParallelFor(size_t begin, size_t end,
                  const std::function<void(size_t)>& fn, int max_parallel) {
-  // Nested calls from pool workers run inline (exactly what
-  // ThreadPool::ParallelFor would do) without taking the singleton lock
-  // or a pool reference — so a worker can never end up holding the last
-  // reference to its own pool and joining itself.
-  if (ThreadPool::InWorker()) {
-    for (size_t i = begin; i < end; ++i) fn(i);
+  // A worker's own pool outlives the worker's task, so nested calls use
+  // it directly: no singleton lock and no pool reference, so a worker can
+  // never end up holding the last reference to its own pool and joining
+  // itself.
+  if (t_worker_pool != nullptr) {
+    t_worker_pool->ParallelFor(begin, end, fn, max_parallel);
     return;
   }
   SharedPool()->ParallelFor(begin, end, fn, max_parallel);

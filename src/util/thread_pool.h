@@ -33,11 +33,10 @@ inline constexpr int kMaxEnvThreads = 256;
 /// SharedPool and core::ExperimentConfig::FromEnv both read it here.
 int EnvThreads();
 
-/// Fixed-size worker pool ("work-stealing-lite"): one shared FIFO task
-/// queue drained by `num_threads` workers, plus a caller-participates
-/// `ParallelFor` whose chunk results land in caller-visible, index-owned
-/// slots — so the *schedule* may vary with thread count while every
-/// output stays bitwise identical.
+/// Fixed-size worker pool: one shared FIFO task queue drained by
+/// `num_threads` workers, plus a work-sharing `ParallelFor` whose results
+/// land in caller-visible, index-owned slots — so the *schedule* may vary
+/// with thread count while every output stays bitwise identical.
 ///
 /// Determinism contract: ParallelFor promises only that `fn(i)` runs
 /// exactly once for every index. Callers make parallel code thread-count
@@ -45,10 +44,21 @@ int EnvThreads();
 /// a shared sequential generator, and (b) writing results into slot `i`
 /// and reducing sequentially in index order afterwards.
 ///
-/// Nested-submit safety: a ParallelFor issued from inside a pool worker
-/// (e.g. a forest fit running under a scenario fan-out) executes inline
-/// on that worker instead of re-entering the queue, so nesting can never
-/// deadlock and never changes results.
+/// Work sharing: a ParallelFor call is one shared job. The caller and up
+/// to width − 1 queued helper tasks claim the next index from the job's
+/// atomic counter until the range is drained, so a slow index never holds
+/// back its neighbours. A call made on a pool worker (a forest fit under
+/// a scenario fan-out, say) offers its indices to the pool's idle workers
+/// exactly as a top-level call does.
+///
+/// Why nesting cannot deadlock: a caller never depends on a helper
+/// starting — it can drain its own job alone. Once the counter passes
+/// `end` it waits only for threads that have claimed an index of its job
+/// and are running it, and while it waits it runs no other queued task,
+/// so a thread's stack holds only its own chain of nested calls. Such a
+/// thread can in turn wait only on a job it created inside that index,
+/// which is younger than the first; a chain of waits therefore never
+/// cycles and ends at a thread that is making progress.
 ///
 /// Lock discipline is compiler-checked: queue_ and stopping_ carry
 /// FAB_GUARDED_BY(mu_) and a Clang `-DFAB_THREAD_SAFETY=ON` build
@@ -77,19 +87,16 @@ class ThreadPool {
     return future;
   }
 
-  /// Runs `fn(i)` exactly once for every i in [begin, end), splitting the
-  /// range into at most `max_parallel` contiguous chunks (0 = one per
-  /// worker) executed by the pool and the calling thread together. Blocks
-  /// until every index completes. The first exception (in chunk order) is
-  /// rethrown after all chunks finish. Runs inline when called from a
-  /// pool worker, when the range is trivial, or when capped to one chunk.
+  /// Runs `fn(i)` exactly once for every i in [begin, end) on the calling
+  /// thread and up to min(width, len) − 1 pool workers, where width is
+  /// `max_parallel` when it is positive and below the pool width, else the
+  /// pool width. Blocks until every index completes. Every index runs even
+  /// when some throw; afterwards the exception of the lowest throwing
+  /// index is rethrown. A one-index range or `max_parallel == 1` runs
+  /// inline on the caller.
   void ParallelFor(size_t begin, size_t end,
                    const std::function<void(size_t)>& fn,
                    int max_parallel = 0) FAB_EXCLUDES(mu_);
-
-  /// True when the calling thread is one of this process's pool workers
-  /// (any pool; used to detect nesting).
-  static bool InWorker();
 
  private:
   void Enqueue(std::function<void()> task) FAB_EXCLUDES(mu_);
@@ -121,11 +128,11 @@ std::shared_ptr<ThreadPool> SharedPool();
 /// pool they started with; only new SharedPool() calls see the new pool.
 void SetSharedPoolThreads(int num_threads);
 
-/// Shared-pool convenience wrapper: ThreadPool::ParallelFor on
-/// SharedPool(). `max_parallel` caps concurrency (0 = pool width, 1 =
-/// serial inline). When called from inside a pool worker the loop runs
-/// inline without touching the singleton at all, so nested calls never
-/// contend on (or pin) the shared pool.
+/// Pool-of-the-caller convenience wrapper: ThreadPool::ParallelFor on
+/// SharedPool(), or, when called from a pool worker, on that worker's own
+/// pool. `max_parallel` caps concurrency (0 = pool width, 1 = serial
+/// inline). A worker never touches the singleton, so nested calls never
+/// contend on its lock or hold the last reference to their own pool.
 void ParallelFor(size_t begin, size_t end,
                  const std::function<void(size_t)>& fn, int max_parallel = 0);
 

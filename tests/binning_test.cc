@@ -2,10 +2,49 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "util/random.h"
 
 namespace fab::ml {
 namespace {
+
+/// One column binned by the reference rule: sort the bare values, take
+/// quantile edges, then give each row the first edge >= its value by
+/// binary search (clamped to the last bin).
+struct ReferenceColumn {
+  std::vector<uint8_t> codes;
+  std::vector<double> edges;
+};
+
+ReferenceColumn ReferenceBin(const std::vector<double>& col, int max_bins) {
+  ReferenceColumn out;
+  const size_t n = col.size();
+  std::vector<double> sorted = col;
+  std::sort(sorted.begin(), sorted.end());
+  if (n > 0) {
+    for (int b = 1; b <= max_bins; ++b) {
+      size_t pos = static_cast<size_t>(b) * n / static_cast<size_t>(max_bins);
+      pos = pos == 0 ? 0 : std::min(pos - 1, n - 1);
+      const double v = sorted[pos];
+      if (out.edges.empty() || v > out.edges.back()) out.edges.push_back(v);
+    }
+    out.edges.back() = sorted.back();
+  } else {
+    out.edges.push_back(0.0);
+  }
+  out.codes.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    const auto it = std::lower_bound(out.edges.begin(), out.edges.end(), col[i]);
+    out.codes[i] = static_cast<uint8_t>(
+        it == out.edges.end() ? out.edges.size() - 1 : it - out.edges.begin());
+  }
+  return out;
+}
 
 TEST(BinningTest, RejectsBadMaxBins) {
   auto m = ColMatrix::FromColumns({{1, 2, 3}});
@@ -104,6 +143,42 @@ TEST_P(BinningOrderSweep, CodesPreserveValueOrder) {
 
 INSTANTIATE_TEST_SUITE_P(Bins, BinningOrderSweep,
                          ::testing::Values(2, 8, 64, 256));
+
+TEST(BinningTest, MatchesBinarySearchReferenceBitwise) {
+  // Codes equal and edges bit for bit, over sizes around the 256-bin
+  // boundary and columns with ties, a constant and mixed signed zeros.
+  for (size_t n : {1, 2, 255, 256, 257, 5000}) {
+    Rng rng(17 + n);
+    std::vector<std::vector<double>> cols(5, std::vector<double>(n));
+    for (size_t i = 0; i < n; ++i) {
+      const double z = rng.Normal();
+      cols[0][i] = z;
+      cols[1][i] = static_cast<double>(rng.UniformInt(3)) - 1.0;  // ties
+      cols[2][i] = 4.5;                                            // constant
+      cols[3][i] = rng.UniformInt(2) == 0 ? 0.0 : -0.0;  // mixed ±0
+      if (rng.UniformInt(4) == 0) cols[3][i] = z;
+      cols[4][i] = std::round(4.0 * z) / 4.0;  // quarter-rounded
+    }
+    auto m = ColMatrix::FromColumns(cols);
+    ASSERT_TRUE(m.ok());
+    for (int max_bins : {2, 3, 256}) {
+      auto b = BinnedMatrix::Build(*m, max_bins);
+      ASSERT_TRUE(b.ok());
+      for (size_t c = 0; c < cols.size(); ++c) {
+        const ReferenceColumn want = ReferenceBin(cols[c], max_bins);
+        SCOPED_TRACE(::testing::Message() << "n=" << n << " max_bins="
+                                          << max_bins << " col=" << c);
+        ASSERT_EQ(b->num_bins(c), static_cast<int>(want.edges.size()));
+        for (int k = 0; k < b->num_bins(c); ++k) {
+          EXPECT_EQ(std::bit_cast<uint64_t>(b->upper_edge(c, k)),
+                    std::bit_cast<uint64_t>(want.edges[static_cast<size_t>(k)]))
+              << "edge " << k;
+        }
+        EXPECT_EQ(b->codes(c), want.codes);
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace fab::ml

@@ -1,6 +1,7 @@
 // Proves the pipeline's thread-count-invariance guarantee: PFI, SHAP,
-// a full FRA run, forest training and an improvement-style CV fold all
-// produce BITWISE-identical doubles at shared-pool widths 1, 2 and 8.
+// a full FRA run, forest training, an improvement-style CV fold and a
+// three-level nested subset CV all produce BITWISE-identical doubles at
+// shared-pool widths 1, 2 and 8.
 // Every assertion below is EXPECT_EQ on doubles, deliberately not
 // approximate — parallel units derive their RNG streams from
 // (seed, unit_index) and reduce in index order, so nothing may drift.
@@ -155,6 +156,29 @@ TEST_F(DeterminismTest, ImprovementCvFoldBitwiseInvariant) {
     const auto xgb_mse = ml::CrossValMse(xgb, train_, *folds);
     EXPECT_TRUE(xgb_mse.ok());
     return std::vector<double>{*rf_mse, *xgb_mse};
+  });
+}
+
+TEST_F(DeterminismTest, NestedSubsetCvBitwiseInvariant) {
+  // Three nested levels, shaped like RunImprovementExperiment's
+  // per-category fan-out: a ParallelFor over feature subsets, each
+  // running CrossValMse (parallel folds) on a forest (parallel trees).
+  const std::vector<std::vector<int>> subsets = {
+      {0, 1, 2}, {3, 4, 5, 6}, {0, 7, 8, 9, 10, 11}};
+  ExpectInvariantAcrossThreadCounts([&] {
+    const auto folds =
+        ml::KFold(train_.num_rows(), 4, /*shuffle=*/true, 0xC0FFEEull);
+    EXPECT_TRUE(folds.ok());
+    std::vector<double> mse(subsets.size(), 0.0);
+    util::ParallelFor(0, subsets.size(), [&](size_t s) {
+      const auto sub = train_.SelectFeatures(subsets[s]);
+      EXPECT_TRUE(sub.ok());
+      ml::RandomForestRegressor rf(SmallForest());
+      const auto cv = ml::CrossValMse(rf, *sub, *folds);
+      EXPECT_TRUE(cv.ok());
+      mse[s] = *cv;
+    });
+    return mse;
   });
 }
 

@@ -90,6 +90,32 @@ TEST_F(ExperimentsTest, FromEnvValidatesThreads) {
   EXPECT_EQ(ExperimentConfig::FromEnv().num_threads, 0);
 }
 
+TEST_F(ExperimentsTest, FromEnvValidatesSeed) {
+  // FAB_SEED follows FAB_THREADS' digits-only rule; a malformed value or
+  // one that does not fit in 64 bits means unset (42) instead of wrapping
+  // or reading a prefix.
+  const struct {
+    const char* value;
+    uint64_t want;
+  } cases[] = {
+      {"-1", 42},
+      {"+7", 42},
+      {" 7", 42},
+      {"12x", 42},
+      {"", 42},
+      {"18446744073709551616", 42},
+      {"0", 0},
+      {"18446744073709551615", 18446744073709551615ull},
+  };
+  for (const auto& c : cases) {
+    ::setenv("FAB_SEED", c.value, 1);
+    EXPECT_EQ(ExperimentConfig::FromEnv().seed, c.want)
+        << "FAB_SEED=\"" << c.value << "\"";
+  }
+  ::unsetenv("FAB_SEED");
+  EXPECT_EQ(ExperimentConfig::FromEnv().seed, 42u);
+}
+
 TEST_F(ExperimentsTest, MarketIsMemoized) {
   Experiments ex(TinyConfig(cache_dir_));
   const auto a = ex.Market();

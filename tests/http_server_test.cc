@@ -1,6 +1,7 @@
 #include "net/http_server.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -60,11 +61,11 @@ const serve::ModelKey kFastKey{"2019", 21, "xgb"};
 class HttpServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // The pid keeps this directory apart from the sanitizer twins', which
+    // ctest may run at the same time.
     root_ = (fs::temp_directory_path() /
-             ("fab_http_server_" + std::string(::testing::UnitTest::
-                                                   GetInstance()
-                                                       ->current_test_info()
-                                                       ->name())))
+             ("fab_http_server_" + std::to_string(::getpid()) + "_" +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name()))
                 .string();
     fs::remove_all(root_);
     fs::create_directories(root_);

@@ -1,6 +1,7 @@
 #include "net/shard_router.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -81,8 +82,10 @@ int ShardCount(const JsonValue& statsz, size_t index, const char* name) {
 class ShardRouterTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // The pid keeps this directory apart from the sanitizer twin's, which
+    // ctest may run at the same time.
     root_ = (fs::temp_directory_path() /
-             ("fab_shard_router_" +
+             ("fab_shard_router_" + std::to_string(::getpid()) + "_" +
               std::to_string(::testing::UnitTest::GetInstance()
                                  ->random_seed()) +
               "_" + ::testing::UnitTest::GetInstance()

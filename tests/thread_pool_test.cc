@@ -3,13 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 namespace fab::util {
 namespace {
+
+/// Every wait in these tests is bounded, so a schedule that can never
+/// satisfy it fails the test instead of hanging it.
+constexpr std::chrono::seconds kWaitLimit{2};
 
 TEST(ResolveThreadsTest, PositivePassesThrough) {
   EXPECT_EQ(ResolveThreads(1), 1);
@@ -68,17 +75,22 @@ TEST(ThreadPoolTest, SubmitPropagatesExceptions) {
 TEST(ThreadPoolTest, ParallelForPropagatesFirstException) {
   ThreadPool pool(4);
   std::atomic<int> ran{0};
-  EXPECT_THROW(
-      pool.ParallelFor(0, 100,
-                       [&](size_t i) {
-                         ran.fetch_add(1);
-                         if (i == 3) throw std::invalid_argument("boom");
-                       }),
-      std::invalid_argument);
-  // The throw aborts only the remainder of its own chunk; every other
-  // chunk completes before the exception is rethrown.
-  EXPECT_GE(ran.load(), 76);
-  EXPECT_LE(ran.load(), 100);
+  // Index 90 throws at once and index 3 only after a sleep; index 3's
+  // exception must still win, and no throw stops any other index.
+  try {
+    pool.ParallelFor(0, 100, [&](size_t i) {
+      ran.fetch_add(1);
+      if (i == 90) throw std::invalid_argument("90");
+      if (i == 3) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        throw std::invalid_argument("3");
+      }
+    });
+    ADD_FAILURE() << "ParallelFor did not rethrow";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "3");
+  }
+  EXPECT_EQ(ran.load(), 100);
   // The pool survives a throwing ParallelFor.
   std::vector<int> out(10, 0);
   pool.ParallelFor(0, out.size(), [&](size_t i) { out[i] = 1; });
@@ -116,19 +128,76 @@ TEST(ThreadPoolTest, ParallelForHonorsMaxParallelAndEmptyRange) {
       /*max_parallel=*/1);
 }
 
-TEST(ThreadPoolTest, NestedParallelForRunsInlineWithoutDeadlock) {
+TEST(ThreadPoolTest, NestedParallelForThreeLevelsCoversAndRethrows) {
+  // Nested calls share the pool's workers; every (i, j, k) still runs
+  // exactly once, and one throwing innermost index surfaces through both
+  // enclosing calls after all of them finish.
   ThreadPool pool(2);
-  std::vector<int> sums(8, 0);
-  pool.ParallelFor(0, sums.size(), [&](size_t i) {
-    // On a worker thread the nested call executes inline; on the
-    // caller-run chunk it re-enters the pool. Either way it completes
-    // with full coverage and no deadlock.
-    std::vector<int> inner(100, 0);
-    pool.ParallelFor(0, inner.size(),
-                     [&](size_t j) { inner[j] = static_cast<int>(j); });
-    sums[i] = std::accumulate(inner.begin(), inner.end(), 0);
+  constexpr size_t kOuter = 4, kMiddle = 3, kInner = 50;
+  std::vector<std::atomic<int>> hits(kOuter * kMiddle * kInner);
+  try {
+    pool.ParallelFor(0, kOuter, [&](size_t i) {
+      pool.ParallelFor(0, kMiddle, [&](size_t j) {
+        pool.ParallelFor(0, kInner, [&](size_t k) {
+          hits[(i * kMiddle + j) * kInner + k].fetch_add(1);
+          if (i == 2 && j == 1 && k == 7) throw std::runtime_error("inner");
+        });
+      });
+    });
+    ADD_FAILURE() << "ParallelFor did not rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "inner");
+  }
+  for (const std::atomic<int>& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPoolTest, NestedCallReachesIdleWorker) {
+  // A task on a 4-worker pool calls ParallelFor(0, 2); each index waits
+  // for two distinct threads to arrive, which needs the nested call to
+  // hand an index to one of the three idle workers. The shared pool is
+  // one wide, so this also checks that a worker's nested call goes to its
+  // own pool rather than to SharedPool().
+  SetSharedPoolThreads(1);
+  ThreadPool pool(4);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::set<std::thread::id> arrived;
+  std::atomic<int> met{0};
+  pool.Submit([&] {
+        ParallelFor(0, 2, [&](size_t) {
+          std::unique_lock<std::mutex> lock(mu);
+          arrived.insert(std::this_thread::get_id());
+          cv.notify_all();
+          if (cv.wait_for(lock, kWaitLimit,
+                          [&] { return arrived.size() >= 2; })) {
+            met.fetch_add(1);
+          }
+        });
+      })
+      .get();
+  EXPECT_EQ(met.load(), 2);
+  SetSharedPoolThreads(0);
+}
+
+TEST(ThreadPoolTest, BlockedIndexDoesNotHoldBackItsNeighbour) {
+  // Index 0 waits for index 1 to start. Any schedule that runs a thread's
+  // indices in a fixed block would put both on one thread and time out.
+  ThreadPool pool(4);
+  std::mutex mu;
+  std::condition_variable cv;
+  bool second_started = false;
+  bool first_saw_second = false;
+  pool.ParallelFor(0, 8, [&](size_t i) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (i == 1) {
+      second_started = true;
+      cv.notify_all();
+    } else if (i == 0) {
+      first_saw_second =
+          cv.wait_for(lock, kWaitLimit, [&] { return second_started; });
+    }
   });
-  for (int s : sums) EXPECT_EQ(s, 4950);
+  EXPECT_TRUE(first_saw_second);
 }
 
 TEST(ThreadPoolTest, StressTenThousandTinyTasks) {
