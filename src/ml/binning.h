@@ -19,7 +19,8 @@ namespace fab::ml {
 /// raw (unbinned) matrices.
 class BinnedMatrix {
  public:
-  /// Bins every column of `x`. max_bins in [2, 256].
+  /// Bins every column of `x`, which must hold no NaN (kInvalidArgument).
+  /// max_bins in [2, 256].
   [[nodiscard]] static Result<BinnedMatrix> Build(const ColMatrix& x, int max_bins = 256);
 
   size_t rows() const { return rows_; }

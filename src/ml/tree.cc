@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 namespace fab::ml {
 
@@ -62,18 +63,6 @@ class TreeBuilder {
     return denom > 0.0 ? -g / denom : 0.0;
   }
 
-  /// Lowest occupied bin >= from, or kBins when there is none.
-  size_t OccupiedFrom(size_t from) const {
-    size_t w = from / 64;
-    if (w >= kMaskWords) return kBins;
-    uint64_t bits = occupied_[w] & (~uint64_t{0} << (from % 64));
-    while (bits == 0) {
-      if (++w == kMaskWords) return kBins;
-      bits = occupied_[w];
-    }
-    return w * 64 + static_cast<size_t>(std::countr_zero(bits));
-  }
-
   /// Highest occupied bin (0 when none is).
   size_t HighestOccupied() const {
     for (size_t w = kMaskWords; w-- > 0;) {
@@ -123,9 +112,9 @@ class TreeBuilder {
       const int nb = x_.num_bins(j);
       if (nb < 2) continue;
       const std::vector<uint8_t>& codes = x_.codes(j);
-      // hist_ is all-zero on entry (restored after each feature). For
-      // nodes smaller than the bin count, mark the occupied bins in
-      // occupied_ (all-zero on entry too) so only those are visited.
+      // hist_ is all-zero on entry (the scan below clears it). For nodes
+      // smaller than the bin count, mark the occupied bins in occupied_
+      // (all-zero on entry too) so only those are visited.
       const bool sparse = (end - start) < static_cast<size_t>(nb);
       if (sparse) {
         for (size_t k = start; k < end; ++k) {
@@ -142,21 +131,19 @@ class TreeBuilder {
           s.h += h_[k];
         }
       }
-      // Scan split points between bins (left = codes <= b). In the sparse
-      // path only occupied bins matter: splitting between two occupied
-      // bins is equivalent to splitting at the lower one, and splitting at
-      // the highest leaves the right side empty.
+      // Scan split points between bins (left = codes <= b), zeroing each
+      // bin as it is passed so that hist_ and occupied_ are all-zero again
+      // for the next feature. `offer` adds bin b to the left side and tests
+      // the split; it returns false once the right side is lighter than
+      // min_child_weight, which every later bin leaves it too.
       double gl = 0.0;
       double hl = 0.0;
-      const size_t stop =
-          sparse ? HighestOccupied() : static_cast<size_t>(nb - 1);
-      for (size_t b = sparse ? OccupiedFrom(0) : 0; b < stop;
-           b = sparse ? OccupiedFrom(b + 1) : b + 1) {
-        gl += hist_[b].g;
-        hl += hist_[b].h;
-        if (hl < params_.min_child_weight) continue;
+      auto offer = [&](size_t b, const BinStat& s) {
+        gl += s.g;
+        hl += s.h;
+        if (hl < params_.min_child_weight) return true;
         const double hr = node_h - hl;
-        if (hr < params_.min_child_weight) break;
+        if (hr < params_.min_child_weight) return false;
         const double gr = node_g - gl;
         const double gain =
             0.5 * (Objective(gl, hl) + Objective(gr, hr) - parent_obj) -
@@ -166,18 +153,30 @@ class TreeBuilder {
           best_feature = static_cast<int>(j);
           best_bin = static_cast<int>(b);
         }
-      }
-      // Restore the all-zero invariants.
+        return true;
+      };
       if (sparse) {
+        // Only occupied bins matter: splitting between two occupied bins
+        // is equivalent to splitting at the lower one, and splitting at the
+        // highest leaves the right side empty.
+        const size_t stop = HighestOccupied();
+        bool open = true;
         for (size_t w = 0; w < kMaskWords; ++w) {
           for (uint64_t bits = occupied_[w]; bits != 0; bits &= bits - 1) {
-            hist_[w * 64 + static_cast<size_t>(std::countr_zero(bits))] =
-                BinStat{};
+            const size_t b =
+                w * 64 + static_cast<size_t>(std::countr_zero(bits));
+            const BinStat s = std::exchange(hist_[b], BinStat{});
+            if (open && b < stop) open = offer(b, s);
           }
           occupied_[w] = 0;
         }
       } else {
-        for (int b = 0; b < nb; ++b) hist_[static_cast<size_t>(b)] = BinStat{};
+        const size_t nbins = static_cast<size_t>(nb);
+        size_t b = 0;
+        for (; b + 1 < nbins; ++b) {
+          if (!offer(b, std::exchange(hist_[b], BinStat{}))) break;
+        }
+        std::fill(hist_.data() + b, hist_.data() + nbins, BinStat{});
       }
     }
 

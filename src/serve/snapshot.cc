@@ -1,6 +1,7 @@
 #include "serve/snapshot.h"
 
 #include <bit>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -145,6 +146,13 @@ Status DecodeTree(Reader* r, size_t num_features, ml::RegressionTree* out) {
     FAB_RETURN_IF_ERROR(r->F64(&node.cover));
     if (node.feature >= static_cast<int>(num_features)) {
       return Status::InvalidArgument("corrupt snapshot: feature out of range");
+    }
+    // A NaN threshold sends every row right; a non-finite value or cover
+    // would reach forecasts or SHAP weights. An infinite threshold stays
+    // legal: a split on data holding -inf can produce one.
+    if (std::isnan(node.threshold) || !std::isfinite(node.value) ||
+        !std::isfinite(node.cover)) {
+      return Status::InvalidArgument("corrupt snapshot: non-finite node");
     }
     if (node.feature < 0) continue;  // leaf: its children are never read
     // The encoder writes each node before its children, so a child must

@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cfloat>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "util/random.h"
@@ -50,6 +52,19 @@ TEST(BinningTest, RejectsBadMaxBins) {
   auto m = ColMatrix::FromColumns({{1, 2, 3}});
   EXPECT_FALSE(BinnedMatrix::Build(*m, 1).ok());
   EXPECT_FALSE(BinnedMatrix::Build(*m, 257).ok());
+}
+
+TEST(BinningTest, RejectsNaN) {
+  // A NaN has no place in a value order; no sort can place it.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const std::vector<std::vector<double>>& cols :
+       std::vector<std::vector<std::vector<double>>>{
+           {{nan}}, {{1, nan, 3}}, {{1, 2, 3}, {-0.0, 0.0, nan}}}) {
+    auto m = ColMatrix::FromColumns(cols);
+    ASSERT_TRUE(m.ok());
+    EXPECT_EQ(BinnedMatrix::Build(*m).status().code(),
+              StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(BinningTest, SmallDistinctSetGetsExactBins) {
@@ -146,10 +161,16 @@ INSTANTIATE_TEST_SUITE_P(Bins, BinningOrderSweep,
 
 TEST(BinningTest, MatchesBinarySearchReferenceBitwise) {
   // Codes equal and edges bit for bit, over sizes around the 256-bin
-  // boundary and columns with ties, a constant and mixed signed zeros.
+  // boundary and columns with ties, a constant, mixed signed zeros and
+  // values across the sign and exponent boundaries.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> extremes = {
+      -inf, -DBL_MAX, -1.5, -1.5, -DBL_MIN, -denorm, 0.0,
+      denorm, DBL_MIN, 1.0, DBL_MAX, inf};
   for (size_t n : {1, 2, 255, 256, 257, 5000}) {
     Rng rng(17 + n);
-    std::vector<std::vector<double>> cols(5, std::vector<double>(n));
+    std::vector<std::vector<double>> cols(6, std::vector<double>(n));
     for (size_t i = 0; i < n; ++i) {
       const double z = rng.Normal();
       cols[0][i] = z;
@@ -158,6 +179,9 @@ TEST(BinningTest, MatchesBinarySearchReferenceBitwise) {
       cols[3][i] = rng.UniformInt(2) == 0 ? 0.0 : -0.0;  // mixed ±0
       if (rng.UniformInt(4) == 0) cols[3][i] = z;
       cols[4][i] = std::round(4.0 * z) / 4.0;  // quarter-rounded
+      cols[5][i] = rng.UniformInt(2) == 0
+                       ? extremes[rng.UniformInt(extremes.size())]
+                       : z;
     }
     auto m = ColMatrix::FromColumns(cols);
     ASSERT_TRUE(m.ok());

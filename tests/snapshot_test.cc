@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include "ml/forest.h"
 #include "ml/gbdt.h"
@@ -157,6 +158,14 @@ TEST(SnapshotTest, RejectsCorruptedHeader) {
   EXPECT_FALSE(SnapshotCodec::Load(dir + "/missing.fabsnap").ok());
 }
 
+/// Encodes a one-tree, one-feature forest made of `nodes`.
+Result<std::string> EncodeOneTree(std::vector<ml::TreeNode> nodes) {
+  std::vector<ml::RegressionTree> trees;
+  trees.push_back(ml::RegressionTree::FromParts(std::move(nodes), {1.0}));
+  return SnapshotCodec::Encode(ml::RandomForestRegressor::FromFitted(
+      ml::ForestParams{}, std::move(trees), /*num_features=*/1));
+}
+
 TEST(SnapshotTest, RejectsNodeListsThatAreNotTrees) {
   // Every child index below is in range; the shapes are what is wrong.
   // A self-loop or back-edge would never let traversal end, and a child
@@ -175,16 +184,66 @@ TEST(SnapshotTest, RejectsNodeListsThatAreNotTrees) {
        {"back-edge", {split(1, 2), split(0, 3), leaf, leaf}},
        {"shared child", {split(1, 2), split(3, 4), split(3, 4), leaf, leaf}}};
   for (const auto& [name, nodes] : shapes) {
-    std::vector<ml::RegressionTree> trees;
-    trees.push_back(ml::RegressionTree::FromParts(nodes, {1.0}));
-    const ml::RandomForestRegressor rf = ml::RandomForestRegressor::FromFitted(
-        ml::ForestParams{}, std::move(trees), /*num_features=*/1);
-    auto encoded = SnapshotCodec::Encode(rf);
+    auto encoded = EncodeOneTree(nodes);
     ASSERT_TRUE(encoded.ok()) << name;
     EXPECT_EQ(SnapshotCodec::Decode(*encoded).status().code(),
               StatusCode::kInvalidArgument)
         << name;
   }
+}
+
+TEST(SnapshotTest, RejectsNonFiniteNodeValues) {
+  // A NaN threshold sends every row right, and a non-finite value or cover
+  // reaches forecasts and SHAP weights; none comes out of a fit.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  auto tree = [](double threshold, double value, double cover) {
+    ml::TreeNode root;
+    root.feature = 0;
+    root.threshold = threshold;
+    root.left = 1;
+    root.right = 2;
+    ml::TreeNode leaf;
+    leaf.value = value;
+    leaf.cover = cover;
+    return std::vector<ml::TreeNode>{root, leaf, ml::TreeNode{}};
+  };
+  const std::vector<std::pair<const char*, std::vector<ml::TreeNode>>> cases =
+      {{"NaN threshold", tree(nan, 1.0, 1.0)},
+       {"NaN value", tree(0.5, nan, 1.0)},
+       {"infinite value", tree(0.5, inf, 1.0)},
+       {"-infinite value", tree(0.5, -inf, 1.0)},
+       {"NaN cover", tree(0.5, 1.0, nan)},
+       {"infinite cover", tree(0.5, 1.0, inf)}};
+  for (const auto& [name, nodes] : cases) {
+    auto encoded = EncodeOneTree(nodes);
+    ASSERT_TRUE(encoded.ok()) << name;
+    EXPECT_EQ(SnapshotCodec::Decode(*encoded).status().code(),
+              StatusCode::kInvalidArgument)
+        << name;
+  }
+}
+
+TEST(SnapshotTest, DecodesInfiniteThresholds) {
+  // A split on data holding -inf can have -inf as its threshold.
+  ml::TreeNode root;
+  root.feature = 0;
+  root.threshold = -std::numeric_limits<double>::infinity();
+  root.left = 1;
+  root.right = 2;
+  ml::TreeNode low;
+  low.value = -1.0;
+  ml::TreeNode high;
+  high.value = 2.0;
+  auto encoded = EncodeOneTree({root, low, high});
+  ASSERT_TRUE(encoded.ok());
+  auto decoded = SnapshotCodec::Decode(*encoded);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  auto x = ml::ColMatrix::FromColumns(
+      {{-std::numeric_limits<double>::infinity(), 0.0}});
+  ASSERT_TRUE(x.ok());
+  EXPECT_EQ((*decoded)->PredictOne(*x, 0), -1.0);
+  EXPECT_EQ((*decoded)->PredictOne(*x, 1), 2.0);
 }
 
 TEST(SnapshotTest, ProbeReportsKind) {
