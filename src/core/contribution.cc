@@ -23,7 +23,7 @@ Result<std::vector<CategoryContribution>> ComputeContributions(
   }
 
   std::vector<CategoryContribution> out;
-  // Deterministic-reduction contract (fablint det-unordered-iter): counts
+  // Deterministic-reduction contract (det-unordered-iteration): counts
   // accumulate in hash maps above, but rows are emitted in catalog index
   // order (AllCategories()), never in hash-iteration order.
   for (sim::DataCategory category : sim::AllCategories()) {

@@ -146,7 +146,6 @@ Result<const ScenarioDataset*> Experiments::Scenario(StudyPeriod period,
   return ptr;
 }
 
-// fablint:det-root — the experiment grid behind every results table.
 Status Experiments::PrecomputeAll(const std::vector<StudyPeriod>& periods,
                                   const std::vector<int>& windows) {
   // Warm the mutating in-RAM memos (market, scenario datasets) serially;

@@ -100,7 +100,6 @@ std::vector<double> ConsensusScores(const MethodImportances& m) {
 
 }  // namespace
 
-// fablint:det-root — FRA elimination order is golden-pinned.
 Result<FraResult> RunFra(const ml::Dataset& data, const FraOptions& options) {
   if (options.target_size < 1) {
     return Status::InvalidArgument("target_size must be >= 1");

@@ -10,7 +10,7 @@ namespace fab::core {
 
 Result<HorizonGroup> MergeGroup(
     const std::vector<ScoredFeatureVector>& vectors) {
-  // Deterministic-reduction contract (fablint det-unordered-iter): `acc` is
+  // Deterministic-reduction contract (det-unordered-iteration): `acc` is
   // hash-keyed for O(1) accumulation, but results are NEVER emitted in hash
   // order — `order` records first appearance across the input windows, and
   // the final ranking is a stable sort, so ties keep that order bit-for-bit

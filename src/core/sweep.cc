@@ -362,7 +362,6 @@ Result<RegimeSpec> RegimeByName(const std::string& name) {
   return Status::InvalidArgument("unknown stress regime: " + name);
 }
 
-// fablint:det-root — sweep reports are compared across seeds/regimes.
 Result<SweepReport> RunSweep(const SweepOptions& options) {
   if (options.seeds.empty()) {
     return Status::InvalidArgument("sweep needs at least one seed");

@@ -178,7 +178,6 @@ std::vector<double> TreeImportance(const Model& model, const ml::Dataset& data,
 
 }  // namespace
 
-// fablint:det-root — PFI rankings feed the paper's Table 4 goldens.
 Result<std::vector<double>> PermutationImportance(
     const ml::Regressor& model, const ml::Dataset& data,
     const PermutationOptions& options) {

@@ -222,7 +222,6 @@ Result<std::vector<double>> TreeShapOne(const ml::RegressionTree& tree,
   return phi;
 }
 
-// fablint:det-root — SHAP attributions feed the ranking goldens.
 Result<std::vector<double>> MeanAbsShapForest(
     const ml::RandomForestRegressor& model, const ml::ColMatrix& x) {
   if (model.trees().empty()) {
@@ -232,7 +231,6 @@ Result<std::vector<double>> MeanAbsShapForest(
   return MeanAbsShapTrees(model.trees(), x, scale);
 }
 
-// fablint:det-root — SHAP attributions feed the ranking goldens.
 Result<std::vector<double>> MeanAbsShapGbdt(const ml::GbdtRegressor& model,
                                             const ml::ColMatrix& x) {
   if (model.trees().empty()) {

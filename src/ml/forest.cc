@@ -9,7 +9,6 @@
 
 namespace fab::ml {
 
-// fablint:det-root — forest fit must be bitwise reproducible per seed.
 Status RandomForestRegressor::Fit(const ColMatrix& x,
                                   const std::vector<double>& y) {
   FAB_TRACE_SCOPE("ml/rf_fit", {{"trees", params_.n_trees},

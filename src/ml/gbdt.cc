@@ -7,7 +7,6 @@
 
 namespace fab::ml {
 
-// fablint:det-root — GBDT fit must be bitwise reproducible per seed.
 Status GbdtRegressor::Fit(const ColMatrix& x, const std::vector<double>& y) {
   FAB_TRACE_SCOPE("ml/gbdt_fit", {{"rounds", params_.n_rounds},
                                   {"rows", x.rows()},

@@ -124,7 +124,6 @@ void FlatForest::PredictRange(const ml::ColMatrix& x, size_t row_begin,
   }
 }
 
-// fablint:det-root — serving must return bit-identical scores to fit.
 std::vector<double> FlatForest::Predict(const ml::ColMatrix& x) const {
   std::vector<double> out(x.rows());
   if (!out.empty()) PredictRange(x, 0, x.rows(), out.data());

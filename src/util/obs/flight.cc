@@ -10,6 +10,8 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include "util/string_util.h"
+
 namespace fab::obs {
 
 namespace {
@@ -23,12 +25,15 @@ size_t RoundUpPow2(size_t v) {
   return p;
 }
 
+/// Digits only, like FAB_THREADS and FAB_SEED: a sign, a blank, a suffix
+/// or a value past 2^64-1 (strtoull's ERANGE) reads as unset, so a typo
+/// cannot become a 4M-slot ring in every process.
 size_t CapacityFromEnv() {
   const char* env = std::getenv("FAB_FLIGHT_SPANS");
-  if (env == nullptr || *env == '\0') return kDefaultCapacity;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0') return kDefaultCapacity;
+  if (env == nullptr || !IsDecimalDigits(env)) return kDefaultCapacity;
+  errno = 0;
+  const unsigned long long v = std::strtoull(env, nullptr, 10);
+  if (errno == ERANGE) return kDefaultCapacity;
   if (v == 0) return 0;
   if (v > kMaxCapacity) return kMaxCapacity;
   return RoundUpPow2(static_cast<size_t>(v));

@@ -19,8 +19,10 @@
 /// writer — so any crash report ships with its last seconds of spans.
 ///
 /// Knobs (read once at process start):
-///   FAB_FLIGHT_SPANS  ring capacity, rounded up to a power of two
-///                     (default 8192; 0 disables recording entirely)
+///   FAB_FLIGHT_SPANS  ring capacity, rounded up to a power of two and
+///                     capped at 2^22 (default 8192; 0 disables recording
+///                     entirely; anything but decimal digits, or a value
+///                     past 2^64-1, reads as unset)
 ///   FAB_FLIGHT_DUMP   crash/exit dump path (unset = no dump handlers)
 ///
 /// The ring is written on span destruction (TraceSpan wires itself in)

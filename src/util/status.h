@@ -29,10 +29,11 @@ const char* StatusCodeToString(StatusCode code);
 /// that can fail return `Status` (or `Result<T>` when they also produce a
 /// value). A default-constructed `Status` is OK.
 ///
-/// The class itself is [[nodiscard]]: any expression that produces a
-/// Status by value and drops it is a compile-time warning (-Wall), on top
-/// of fablint's status-unchecked / status-nodiscard rules. Deliberate
-/// discards spell it out with `(void)` and a comment.
+/// The class itself is [[nodiscard]], and the build adds
+/// -Werror=unused-result: any expression that produces a Status by value
+/// and drops it is a compile error (tests/compile_fail/status_discard.cc
+/// pins this). Deliberate discards spell it out with `(void)` and a
+/// comment.
 class [[nodiscard]] Status {
  public:
   /// Constructs an OK status.

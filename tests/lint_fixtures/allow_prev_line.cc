@@ -3,6 +3,6 @@
 // Fixture: an allow on the line ABOVE the violation suppresses it (the
 // same-line form is covered by suppressed.cc).
 int DrawSuppressed() {
-  // fablint:allow(det-rand)
+  // fablint:allow(det-raw-rng)
   return std::rand();
 }

@@ -1,6 +1,6 @@
 // Fixture: --callgraph-dump golden input. A free helper, an inline
-// member (displayed Widget::Grow), a rooted entry point, and one
-// undefined callee (flagged "??" in the dump). Never compiled.
+// member (displayed Widget::Grow), an entry point, and one undefined
+// callee (flagged "??" in the dump). Never compiled.
 
 namespace dumpfix {
 
@@ -11,7 +11,7 @@ class Widget {
   int Grow(int v) { return HelperDepth(v); }
 };
 
-// fablint:det-root — dump fixture root.
+// Entry point: calls the member and an undefined function.
 int DumpRootEntry(Widget& w) {
   return w.Grow(ExternalSeed());
 }

@@ -1,4 +1,4 @@
-// Fixture: exactly one det-mt19937 violation. Never compiled.
+// Fixture: one det-raw-rng violation (mt19937). Never compiled.
 #include <random>
 
 unsigned long StdlibDraw() {

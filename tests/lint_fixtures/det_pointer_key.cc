@@ -1,8 +1,8 @@
 // Fixture: two det-pointer-key violations — a pointer-keyed map and a
 // sort comparator that orders by raw pointer value. Pointer VALUES are
 // fine (they never drive order); only pointer keys and bare pointer
-// comparisons are flagged, and only because the file defines a
-// det-reachable function. Never compiled.
+// comparisons are flagged. Scoped mode checks every file under src/.
+// Never compiled.
 #include <algorithm>
 #include <map>
 #include <string>
@@ -15,7 +15,7 @@ struct Series {
   const Series* parent = nullptr;  // pointer value: not a key, clean
 };
 
-// fablint:det-root — fixture entry point.
+// Fixture entry point.
 void PtrKeyEntry(std::vector<Series*>& all) {
   std::map<Series*, int> rank;
   for (Series* s : all) rank[s] = 0;

@@ -1,4 +1,4 @@
-// Fixture: exactly one det-rand violation (line 5). Never compiled.
+// Fixture: one det-raw-rng violation, a rand() call (line 5). Never compiled.
 #include <cstdlib>
 
 int AmbientNoise() {

@@ -1,4 +1,4 @@
-// Fixture: exactly one det-random-device violation. Never compiled.
+// Fixture: one det-raw-rng violation (random_device). Never compiled.
 #include <random>
 
 unsigned AmbientSeed() {

@@ -1,11 +1,11 @@
-// Fixture: two det-raw-rng violations inside a det-rooted body — srand
-// seeding and a drand48 draw. Both bypass the repo's fab::Rng, so a
-// rerun with the same seed can diverge. Never compiled.
+// Fixture: two det-raw-rng violations — srand seeding and a drand48
+// draw. Both bypass the repo's fab::Rng, so a rerun with the same seed
+// can diverge. Never compiled.
 #include <cstdlib>
 
 namespace rngfix {
 
-// fablint:det-root — fixture entry point.
+// Fixture entry point.
 double RawRngEntry() {
   srand(1234u);
   return drand48();

@@ -1,4 +1,4 @@
-// Fixture: exactly one det-unordered-iter violation (the range-for).
+// Fixture: exactly one det-unordered-iteration violation (the range-for).
 // Never compiled.
 #include <string>
 #include <unordered_map>

@@ -5,7 +5,7 @@
 #include <ctime>
 
 int SameLineSuppression() {
-  return std::rand();  // fablint:allow(det-rand)
+  return std::rand();  // fablint:allow(det-raw-rng)
 }
 
 long PrecedingLineSuppression() {

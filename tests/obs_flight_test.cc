@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -214,6 +215,66 @@ TEST(FlightRecorderTest, TraceScopeRecordsIntoRingWithContext) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+// --- Capacity from FAB_FLIGHT_SPANS. ----------------------------------------
+
+// Not run by default: the capacity test below runs it in a child process
+// started with a chosen FAB_FLIGHT_SPANS.
+TEST(FlightCapacityProbe, DISABLED_PrintsCapacity) {
+  std::printf("flight_capacity=%zu\n", obs::FlightCapacity());
+}
+
+/// FlightCapacity() of a fresh copy of this binary started with
+/// FAB_FLIGHT_SPANS=`value` (unset when null), or -1 when the child's
+/// output carries no capacity line. The ring is sized once at static
+/// init, so each value needs its own process.
+long long ChildFlightCapacity(const char* value) {
+  const std::string self =
+      std::filesystem::read_symlink("/proc/self/exe").string();
+  std::string cmd = value == nullptr
+                        ? std::string("env -u FAB_FLIGHT_SPANS ")
+                        : "env 'FAB_FLIGHT_SPANS=" + std::string(value) + "' ";
+  cmd += "'" + self +
+         "' --gtest_filter=FlightCapacityProbe.DISABLED_PrintsCapacity"
+         " --gtest_also_run_disabled_tests 2>&1";
+  FILE* pipe = ::popen(cmd.c_str(), "r");
+  if (pipe == nullptr) return -1;
+  std::string out;
+  char buffer[4096];
+  size_t n = 0;
+  while ((n = std::fread(buffer, 1, sizeof(buffer), pipe)) > 0) {
+    out.append(buffer, n);
+  }
+  ::pclose(pipe);
+  const std::string tag = "flight_capacity=";
+  const size_t at = out.find(tag);
+  if (at == std::string::npos) return -1;
+  return std::atoll(out.c_str() + at + tag.size());
+}
+
+TEST(FlightRecorderTest, CapacityEnvAcceptsDecimalDigitsOnly) {
+  const struct {
+    const char* value;
+    long long capacity;
+  } cases[] = {
+      {nullptr, 8192},
+      {"", 8192},
+      // Malformed or out of range: the default, not a 4M-slot ring.
+      {"-1", 8192},
+      {"99999999999999999999", 8192},
+      {"+8", 8192},
+      {" 8", 8192},
+      {"8x", 8192},
+      {"0", 0},
+      {"100", 128},
+      // A valid value above the cap still clamps to 2^22.
+      {"4194305", 4194304},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(ChildFlightCapacity(c.value), c.capacity)
+        << "FAB_FLIGHT_SPANS=" << (c.value == nullptr ? "<unset>" : c.value);
+  }
 }
 
 // --- Crash dump. ------------------------------------------------------------

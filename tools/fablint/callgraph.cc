@@ -10,39 +10,15 @@ namespace {
 
 constexpr size_t kNpos = static_cast<size_t>(-1);
 
-/// True when `line` (a CommentText projection line) consists of the
-/// marker word `fablint:det-root` as its FIRST word. Leads-with
-/// semantics, like `fablint:hot`: prose that merely mentions the marker
-/// (always quoted in documentation) never marks a function.
-bool LeadsWithDetRoot(const std::string& line) {
-  static const std::string kMarker = "fablint:det-root";
-  size_t i = 0;
-  while (i < line.size() && (line[i] == ' ' || line[i] == '\t')) ++i;
-  if (line.compare(i, kMarker.size(), kMarker) != 0) return false;
-  // Word boundary after the marker: annotation text may follow (": why"),
-  // but `fablint:det-rootish` is not the marker.
-  const size_t j = i + kMarker.size();
-  if (j < line.size()) {
-    const char c = line[j];
-    if ((c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-        (c >= '0' && c <= '9') || c == '_' || c == '-') {
-      return false;
-    }
+/// Project style: functions are PascalCase. Lowercase words are
+/// variables/keywords; SHOUTY words are macros.
+bool IsFunctionName(const std::string& name) {
+  if (name.empty() || !(name[0] >= 'A' && name[0] <= 'Z')) return false;
+  if (Keywords().count(name) > 0) return false;
+  for (char c : name) {
+    if (c >= 'a' && c <= 'z') return true;
   }
-  return true;
-}
-
-/// True when a det-root marker sits on the definition-name line or up to
-/// two lines above it (room for a return type line plus the comment).
-bool HasDetRootMarker(const std::vector<std::string>& comment_lines,
-                      int line) {
-  for (int l = line; l >= line - 2 && l >= 1; --l) {
-    const size_t idx = static_cast<size_t>(l) - 1;
-    if (idx < comment_lines.size() && LeadsWithDetRoot(comment_lines[idx])) {
-      return true;
-    }
-  }
-  return false;
+  return false;  // ALL_CAPS: a macro, not a function
 }
 
 /// toks[i] is a PascalCase word and toks[i + 1] is "(". Decides whether
@@ -166,8 +142,8 @@ size_t FindDefBody(const std::vector<Tok>& toks, size_t i) {
 
 /// Collects bare-name call sites inside [begin, end): any PascalCase
 /// word followed by '(' that is not a type keyword head. Constructor
-/// calls and static calls count too — more edges only widen the
-/// det-reachable set, which is the safe direction.
+/// calls and static calls count too — more edges only widen the set of
+/// callers that inherit a blocking callee, which is the safe direction.
 void CollectCalls(const std::vector<Tok>& toks, size_t begin, size_t end,
                   std::set<std::string>& calls) {
   for (size_t i = begin; i < end && i + 1 < toks.size(); ++i) {
@@ -264,7 +240,6 @@ CallGraph BuildCallGraph(const std::vector<FileNode>& nodes) {
       def.head = i;
       def.body_begin = body;
       def.body_end = body_end;
-      def.is_root = HasDetRootMarker(node.comment_lines, t.line);
       CollectCalls(toks, body + 1, body_end, def.calls);
       graph.defs.push_back(std::move(def));
       active_end = body_end;  // skip def-head re-detection until it closes
@@ -274,22 +249,6 @@ CallGraph BuildCallGraph(const std::vector<FileNode>& nodes) {
   for (const FunctionDef& def : graph.defs) {
     graph.defined.insert(def.name);
     graph.calls[def.name].insert(def.calls.begin(), def.calls.end());
-    if (def.is_root) graph.roots.insert(def.name);
-  }
-
-  // det-reachable: forward closure of the roots over the call edges.
-  std::vector<std::string> frontier(graph.roots.begin(), graph.roots.end());
-  graph.det_reachable.insert(graph.roots.begin(), graph.roots.end());
-  while (!frontier.empty()) {
-    const std::string name = std::move(frontier.back());
-    frontier.pop_back();
-    const auto it = graph.calls.find(name);
-    if (it == graph.calls.end()) continue;
-    for (const std::string& callee : it->second) {
-      if (graph.det_reachable.insert(callee).second) {
-        frontier.push_back(callee);
-      }
-    }
   }
   return graph;
 }
@@ -298,13 +257,8 @@ void CallGraphDump(const CallGraph& graph, const std::vector<FileNode>& nodes,
                    std::ostream& out) {
   size_t edges = 0;
   for (const auto& [caller, callees] : graph.calls) edges += callees.size();
-  size_t det_defined = 0;
-  for (const std::string& name : graph.det_reachable) {
-    if (graph.defined.count(name) > 0) ++det_defined;
-  }
   out << "call-graph: " << graph.defs.size() << " definition(s), " << edges
-      << " edge(s), " << graph.roots.size() << " root(s), " << det_defined
-      << " det-reachable definition(s)\n";
+      << " edge(s)\n";
   std::string current_file;
   for (const FunctionDef& def : graph.defs) {
     const std::string& rel = nodes[def.node].rel;
@@ -312,10 +266,7 @@ void CallGraphDump(const CallGraph& graph, const std::vector<FileNode>& nodes,
       out << rel << "\n";
       current_file = rel;
     }
-    out << "  " << def.display << " (line " << def.line << ")";
-    if (def.is_root) out << " [root]";
-    if (graph.det_reachable.count(def.name) > 0) out << " [det]";
-    out << "\n";
+    out << "  " << def.display << " (line " << def.line << ")\n";
     for (const std::string& callee : def.calls) {
       out << "    -> " << callee;
       if (graph.defined.count(callee) == 0) out << " ??";

@@ -10,28 +10,20 @@
 #include "lint.h"
 #include "repo_graph.h"
 
-/// fablint pass 4 infrastructure — the repo-wide function-level call
+/// fablint pass 3 infrastructure — the repo-wide function-level call
 /// graph.
 ///
-/// Built from the shared BuildNodes() tokenization with the same
-/// PascalCase heuristics as the semantic pass: a *definition* is a
-/// PascalCase name followed by a parameter list whose head resolves to a
-/// `{` body (constructor initializer lists, `const`/`noexcept`/
-/// `override` qualifiers and trailing return types are walked over); a
-/// *call site* is any other PascalCase name followed by `(` inside a
-/// definition's body. Identity is the bare function name — overloads
-/// and same-named methods on different classes collapse into one graph
-/// node. That over-approximates reachability, which is the conservative
-/// direction here: the determinism rules (det.h) only ever check MORE
-/// code than a precise graph would, never less.
-///
-/// Determinism roots are marked in source with a comment whose first
-/// word is the marker `fablint:det-root` (quote it in prose so
-/// documentation never marks a function), on the definition line or up
-/// to two lines above — the same placement contract as
-/// `fablint:allow`. The det-reachable set is the forward closure of the
-/// root names over the call edges; the det-* rules in det.h apply only
-/// inside det-reachable bodies.
+/// Built from the shared BuildNodes() tokenization with the project's
+/// PascalCase heuristics: a *definition* is a PascalCase name followed by
+/// a parameter list whose head resolves to a `{` body (constructor
+/// initializer lists, `const`/`noexcept`/`override` qualifiers and
+/// trailing return types are walked over); a *call site* is any other
+/// PascalCase name followed by `(` inside a definition's body. Identity
+/// is the bare function name — overloads and same-named methods on
+/// different classes collapse into one graph node. That over-approximates
+/// the callers of a blocking function, which is the conservative
+/// direction for conc-blocking-under-lock (det.h): its transitive
+/// "reached via" finds MORE lock-held blocking calls, never fewer.
 namespace fab::lint {
 
 /// One function (or constructor) definition found in the walked set.
@@ -43,7 +35,6 @@ struct FunctionDef {
   size_t head = 0;       // token index of the name
   size_t body_begin = 0; // token index of the body's '{'
   size_t body_end = 0;   // token index of the matching '}'
-  bool is_root = false;  // carries a det-root marker
   std::set<std::string> calls;  // bare callee names in the body
 };
 
@@ -51,17 +42,15 @@ struct CallGraph {
   std::vector<FunctionDef> defs;  // sorted by (rel, line, display)
   /// Union of per-def calls, keyed by caller bare name.
   std::map<std::string, std::set<std::string>> calls;
-  std::set<std::string> defined;        // every defined bare name
-  std::set<std::string> roots;          // det-root bare names
-  std::set<std::string> det_reachable;  // closure of roots over calls
+  std::set<std::string> defined;  // every defined bare name
 };
 
 /// Builds the call graph over `nodes` (BuildNodes output).
 CallGraph BuildCallGraph(const std::vector<FileNode>& nodes);
 
-/// Prints the graph (one block per definition, its outgoing edges, root
-/// and det-reachable marks) to `out` — the `--callgraph-dump` view,
-/// golden-pinned by tests/fablint_test.cc.
+/// Prints the graph (one block per definition and its outgoing edges) to
+/// `out` — the `--callgraph-dump` view, golden-pinned by
+/// tests/fablint_test.cc.
 void CallGraphDump(const CallGraph& graph, const std::vector<FileNode>& nodes,
                    std::ostream& out);
 

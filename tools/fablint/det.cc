@@ -20,26 +20,11 @@ void Report(std::vector<Violation>& out, const FileNode& node, int line,
   out.push_back(Violation{node.rel, line, rule, std::move(message)});
 }
 
-/// det-reachable definitions per node index: the bodies the det-* rules
-/// scan. Bare-name identity means every same-named definition is
-/// included — over-approximate, which only widens coverage.
-std::map<size_t, std::vector<const FunctionDef*>> DetDefsByNode(
-    const CallGraph& graph) {
-  std::map<size_t, std::vector<const FunctionDef*>> by_node;
-  for (const FunctionDef& def : graph.defs) {
-    if (graph.det_reachable.count(def.name) > 0) {
-      by_node[def.node].push_back(&def);
-    }
-  }
-  return by_node;
-}
-
 // --- det-unordered-iteration. -----------------------------------------------
 
-/// Names declared in this file with an unordered container type. Unlike
-/// the per-file v1 rule, the det pass unions these with the names of
-/// every directly-included walked header (LintDet below), so members a
-/// .cc iterates but its header declares are still caught.
+/// Names declared in this file with an unordered container type. LintDet
+/// unions these with the names of every directly-included walked header,
+/// so members a .cc iterates but its header declares are still caught.
 std::set<std::string> UnorderedNames(const FileNode& node) {
   static const std::set<std::string> kTypes = {
       "unordered_map", "unordered_set", "unordered_multimap",
@@ -61,114 +46,61 @@ std::set<std::string> UnorderedNames(const FileNode& node) {
   return names;
 }
 
-/// True when [begin, end) contains an accumulation/append/emit shape:
-/// compound assignment, stream insert, increment/decrement, or a growth
-/// call. A loop body with none of these only reads per-entry state, and
-/// reading in hash order is harmless.
-bool HasAccumulation(const std::vector<Tok>& toks, size_t begin, size_t end) {
-  static const std::set<std::string> kGrowth = {
-      "push_back", "emplace_back", "insert", "emplace", "append"};
-  for (size_t i = begin; i < end && i < toks.size(); ++i) {
-    const Tok& t = toks[i];
-    if (t.word) {
-      if (kGrowth.count(t.text) > 0) return true;
-      continue;
-    }
-    if (i + 1 >= end || i + 1 >= toks.size()) continue;
-    const Tok& u = toks[i + 1];
-    if (u.word || u.off != t.off + 1) continue;  // not glued punctuation
-    const char a = t.text[0];
-    const char b = u.text[0];
-    if (b == '=' && (a == '+' || a == '-' || a == '*' || a == '/')) {
-      return true;
-    }
-    if ((a == '<' && b == '<') || (a == '+' && b == '+') ||
-        (a == '-' && b == '-')) {
-      return true;
-    }
-  }
-  return false;
-}
-
-/// Token range of the loop body for the `for` whose header closes at
-/// toks[close]: a brace block, or the single statement up to `;`.
-std::pair<size_t, size_t> LoopBody(const std::vector<Tok>& toks,
-                                   size_t close) {
-  const size_t k = close + 1;
-  if (k < toks.size() && toks[k].text == "{") {
-    const size_t e = MatchBrace(toks, k);
-    return {k + 1, e == kNpos ? toks.size() : e};
-  }
-  size_t e = k;
-  while (e < toks.size() && toks[e].text != ";") ++e;
-  return {k, e};
-}
-
+/// Flags every walk that exposes hash order over an `unordered` name: a
+/// range-for over it, and a `.begin(` / `.cbegin(` (or `->`) on it, which
+/// covers iterator loops, bulk copies and std algorithms alike. Whether
+/// the loop accumulates is deliberately not asked: an argmax by plain
+/// assignment depends on visit order as much as a sum does. A walk whose
+/// result cannot depend on order carries a fablint:allow with a one-line
+/// argument.
 void CheckUnorderedIteration(const FileNode& node,
-                             const std::vector<const FunctionDef*>& defs,
                              const std::set<std::string>& unordered,
                              std::vector<Violation>& out) {
   if (unordered.empty()) return;
   const std::vector<Tok>& toks = node.toks;
-  for (const FunctionDef* def : defs) {
-    for (size_t i = def->body_begin + 1;
-         i < def->body_end && i + 1 < toks.size(); ++i) {
-      if (!toks[i].word || toks[i].text != "for") continue;
-      if (toks[i + 1].text != "(") continue;
+  const auto report = [&](size_t i, const char* what) {
+    Report(out, node, toks[i].line, "det-unordered-iteration",
+           std::string(what) + " over unordered container '" + toks[i].text +
+               "': hash order is not deterministic — iterate a sorted copy "
+               "of the keys (or fablint:allow with a one-line "
+               "order-independence argument)");
+  };
+  for (size_t i = 0; i + 2 < toks.size(); ++i) {
+    if (!toks[i].word) continue;
+    if (toks[i].text == "for" && toks[i + 1].text == "(") {
       const size_t close = MatchParen(toks, i + 1);
       if (close == kNpos) continue;
-
-      // Range-for over an unordered name?
-      std::string base;
+      // Range-for: the first word after the top-level ':' names the range.
       int depth = 0;
       for (size_t j = i + 1; j < close; ++j) {
-        if (toks[j].word) continue;
         if (toks[j].text == "(") ++depth;
         if (toks[j].text == ")") --depth;
-        if (toks[j].text == ":" && depth == 1 &&
-            toks[j - 1].text != ":" &&
-            (j + 1 >= close || toks[j + 1].text != ":")) {
-          size_t e = j + 1;
-          while (e < close && (toks[e].text == "*" || toks[e].text == "&")) {
-            ++e;
-          }
-          if (e < close && toks[e].word) base = toks[e].text;
-          break;
+        if (toks[j].text != ":" || depth != 1 || toks[j - 1].text == ":" ||
+            toks[j + 1].text == ":") {
+          continue;
         }
-      }
-      bool hazard = !base.empty() && unordered.count(base) > 0;
-
-      // Iterator loop whose header walks an unordered container?
-      if (!hazard) {
-        for (size_t j = i + 2; j + 2 < close; ++j) {
-          if (!toks[j].word || unordered.count(toks[j].text) == 0) continue;
-          size_t m = j + 1;
-          if (toks[m].text == ".") {
-            ++m;
-          } else if (toks[m].text == "-" && toks[m + 1].text == ">") {
-            m += 2;
-          } else {
-            continue;
-          }
-          if (m < close && toks[m].word &&
-              (toks[m].text == "begin" || toks[m].text == "cbegin")) {
-            base = toks[j].text;
-            hazard = true;
-            break;
-          }
+        size_t e = j + 1;
+        while (e < close && (toks[e].text == "*" || toks[e].text == "&")) ++e;
+        if (e < close && toks[e].word && unordered.count(toks[e].text) > 0) {
+          report(e, "range-for");
         }
+        break;
       }
-      if (!hazard) continue;
-
-      const auto [bb, be] = LoopBody(toks, close);
-      if (!HasAccumulation(toks, bb, be)) continue;  // read-only: harmless
-      Report(out, node, toks[i].line, "det-unordered-iteration",
-             "loop over unordered container '" + base +
-                 "' accumulates or emits inside det-reachable '" +
-                 def->display +
-                 "': hash order is not deterministic — iterate a sorted "
-                 "copy of the keys (or fablint:allow with a one-line "
-                 "order-independence argument)");
+      continue;
+    }
+    if (unordered.count(toks[i].text) == 0) continue;
+    size_t m = i + 1;
+    if (toks[m].text == ".") {
+      ++m;
+    } else if (toks[m].text == "-" && toks[m + 1].text == ">") {
+      m += 2;
+    } else {
+      continue;
+    }
+    if (m + 1 < toks.size() &&
+        (toks[m].text == "begin" || toks[m].text == "cbegin") &&
+        toks[m + 1].text == "(") {
+      report(i, "iterator");
     }
   }
 }
@@ -268,26 +200,6 @@ void CheckPointerKeys(const FileNode& node, std::vector<Violation>& out) {
                    "stable field instead");
         break;
       }
-    }
-  }
-}
-
-// --- det-raw-rng. -----------------------------------------------------------
-
-void CheckRawRng(const FileNode& node,
-                 const std::vector<const FunctionDef*>& defs,
-                 std::vector<Violation>& out) {
-  static const std::set<std::string> kRaw = {
-      "srand",        "drand48", "lrand48", "rand_r",
-      "random_shuffle", "default_random_engine"};
-  const std::vector<Tok>& toks = node.toks;
-  for (const FunctionDef* def : defs) {
-    for (size_t i = def->body_begin + 1; i < def->body_end; ++i) {
-      if (!toks[i].word || kRaw.count(toks[i].text) == 0) continue;
-      Report(out, node, toks[i].line, "det-raw-rng",
-             "'" + toks[i].text + "' inside det-reachable '" + def->display +
-                 "': all randomness on determinism paths must come from "
-                 "fab::Rng seeded by (seed, unit_index)");
     }
   }
 }
@@ -467,8 +379,6 @@ std::vector<Violation> LintDet(const std::vector<FileNode>& nodes,
                                const CallGraph& graph,
                                const Options& options) {
   std::vector<Violation> out;
-  const std::map<size_t, std::vector<const FunctionDef*>> det_defs =
-      DetDefsByNode(graph);
   std::vector<DeclaredBlockers> decls(nodes.size());
   for (size_t n = 0; n < nodes.size(); ++n) {
     decls[n] = CollectDeclaredBlockers(nodes[n]);
@@ -486,18 +396,14 @@ std::vector<Violation> LintDet(const std::vector<FileNode>& nodes,
   for (size_t n = 0; n < nodes.size(); ++n) {
     const FileNode& node = nodes[n];
     if (!options.all_rules && !StartsWith(node.rel, "src/")) continue;
-    const auto it = det_defs.find(n);
-    if (it != det_defs.end()) {
-      std::set<std::string> unordered = own_names[n];
-      for (const IncludeEdge& edge : node.includes) {
-        if (edge.target.empty()) continue;
-        const std::set<std::string>& inc = own_names[index.at(edge.target)];
-        unordered.insert(inc.begin(), inc.end());
-      }
-      CheckUnorderedIteration(node, it->second, unordered, out);
-      CheckRawRng(node, it->second, out);
-      CheckPointerKeys(node, out);
+    std::set<std::string> unordered = own_names[n];
+    for (const IncludeEdge& edge : node.includes) {
+      if (edge.target.empty()) continue;
+      const std::set<std::string>& inc = own_names[index.at(edge.target)];
+      unordered.insert(inc.begin(), inc.end());
     }
+    CheckUnorderedIteration(node, unordered, out);
+    CheckPointerKeys(node, out);
     CheckBlockingUnderLock(node, decls[n], why, out);
   }
   return out;

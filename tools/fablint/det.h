@@ -7,32 +7,27 @@
 #include "lint.h"
 #include "repo_graph.h"
 
-/// fablint pass 4 — determinism taint over the call graph, plus
-/// blocking-under-lock detection. Four rules:
+/// fablint pass 3 — determinism checks that need the shared
+/// tokenization, plus blocking-under-lock over the call graph. Three
+/// rules:
 ///
-///   det-unordered-iteration  range-for / iterator loops over unordered
-///                            containers whose body accumulates, appends
-///                            or emits, inside a det-reachable function
-///                            (sorted-copy-before-iterate is naturally
-///                            safe: the loop then ranges over the copy)
+///   det-unordered-iteration  range-for over, or .begin()/.cbegin() on, a
+///                            name declared with an unordered container
+///                            type in the file or a directly included
+///                            walked header (sorted-copy-before-iterate
+///                            still trips the bulk copy's .begin(), which
+///                            carries a fablint:allow)
 ///   det-pointer-key          pointer-keyed map/set declarations and
-///                            pointer-comparison sorts in files that
-///                            define det-reachable functions (iteration
-///                            and tie-break order = allocation order)
-///   det-raw-rng              raw RNG entry points the per-file rules
-///                            do not cover (srand, drand48, rand_r,
-///                            random_shuffle, default_random_engine),
-///                            scoped to det-reachable bodies
+///                            pointer-comparison sorts (iteration and
+///                            tie-break order = allocation order)
 ///   conc-blocking-under-lock known-blocking operations (future waits,
 ///                            HttpClient round-trips, sleeps, file IO) —
 ///                            or calls to functions that transitively
 ///                            perform them — while a mutex is held per
 ///                            the pass-2 lock-region walker
 ///
-/// The det-* rules apply only where the call graph says a determinism
-/// root (`fablint:det-root`) can reach — reachability IS the scope.
 /// Like every other pass: lexical, `fablint:allow` honored, and when
-/// `--all-rules` is off the rules are further scoped to src/.
+/// `--all-rules` is off the rules apply to every file under src/.
 namespace fab::lint {
 
 std::vector<Violation> LintDet(const std::vector<FileNode>& nodes,

@@ -8,13 +8,11 @@ namespace fab::lint {
 FixResult ApplyEdits(const std::string& src, std::vector<Edit> edits) {
   std::sort(edits.begin(), edits.end(), [](const Edit& a, const Edit& b) {
     if (a.begin != b.begin) return a.begin < b.begin;
-    if (a.end != b.end) return a.end < b.end;
-    return a.replacement < b.replacement;
+    return a.end < b.end;
   });
   edits.erase(std::unique(edits.begin(), edits.end(),
                           [](const Edit& a, const Edit& b) {
-                            return a.begin == b.begin && a.end == b.end &&
-                                   a.replacement == b.replacement;
+                            return a.begin == b.begin && a.end == b.end;
                           }),
               edits.end());
 
@@ -28,7 +26,6 @@ FixResult ApplyEdits(const std::string& src, std::vector<Edit> edits) {
       continue;
     }
     out.append(src, cursor, e.begin - cursor);
-    out.append(e.replacement);
     cursor = e.end;
     ++result.applied;
   }

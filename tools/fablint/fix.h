@@ -10,8 +10,8 @@
 /// fablint --fix — the span-edit application engine.
 ///
 /// Rules attach machine-applicable fixes (Violation::fix) as byte-span
-/// edits against the original file. This module turns the per-file edit
-/// set into new file contents: edits are sorted, exact duplicates
+/// deletions against the original file. This module turns the per-file
+/// edit set into new file contents: edits are sorted, exact duplicates
 /// collapsed (two rules may propose the same deletion), and overlapping
 /// edits dropped deterministically (first by position wins) rather than
 /// guessed at — a dropped edit resurfaces on the next run once the

@@ -343,7 +343,7 @@ std::vector<Edit> DeleteLineFix(const FileNode& node, int line) {
   size_t end = begin;
   while (end < node.masked.size() && node.masked[end] != '\n') ++end;
   if (end < node.masked.size()) ++end;  // take the newline too
-  return {Edit{begin, end, ""}};
+  return {Edit{begin, end}};
 }
 
 void CheckUnusedIncludes(const std::vector<FileNode>& nodes,

@@ -46,7 +46,7 @@ struct LockWalkHooks {
                      const std::vector<HeldLock>& held_before)>
       on_acquire;
   /// Fired for EVERY token, with the locks held while it executes. Lets
-  /// pass 4's conc-blocking-under-lock rule test arbitrary token
+  /// pass 3's conc-blocking-under-lock rule test arbitrary token
   /// patterns against the live lock set without re-deriving regions.
   std::function<void(size_t tok_index, const std::vector<HeldLock>& held)>
       on_token;
@@ -61,13 +61,13 @@ struct LockWalkHooks {
 /// multi-argument or member-expression arguments (adopt_lock tricks,
 /// `obj.mu`) are skipped: a lexical tool cannot name those mutexes
 /// reliably, and false lock regions would be worse than missed ones.
-/// Shared by pass 2 (lock-order) and pass 4 (conc-blocking-under-lock)
+/// Shared by pass 2 (lock-order) and pass 3 (conc-blocking-under-lock)
 /// so "a lock is held here" means exactly one thing.
 void WalkLockRegions(const FileNode& node, const LockWalkHooks& hooks);
 
 /// Runs the cross-file rules over `nodes` (BuildNodes output). Returned
-/// violations are unsorted; the caller merges them with per-file and
-/// semantic-pass findings and sorts.
+/// violations are unsorted; the caller merges them with the per-file and
+/// det-pass findings and sorts.
 std::vector<Violation> LintRepoGraph(const std::vector<FileNode>& nodes,
                                      const Options& options);
 

@@ -132,7 +132,7 @@ std::vector<Edit> DeleteStatementFix(const Ctx& ctx, size_t begin) {
     begin = line_start;
     end = line_end < text.size() ? line_end + 1 : line_end;
   }
-  return {Edit{begin, end, ""}};
+  return {Edit{begin, end}};
 }
 
 // --- Determinism rules. -----------------------------------------------------
@@ -146,17 +146,24 @@ void ForEachCall(const std::string& text, const std::string& word, Fn fn) {
   });
 }
 
+/// Raw randomness bypasses the (seed, unit_index) streams of fab::Rng, so
+/// a rerun with the same seed can diverge. One word list for every walked
+/// file, no directory exempt: `rand` counts only as a call (the word alone
+/// is too common), every other entry is distinctive enough as a bare word.
 void CheckBannedRandomness(Ctx& ctx) {
-  ForEachCall(ctx.masked, "rand", [&](size_t pos) {
-    Add(ctx, pos, "det-rand",
-        "std::rand() is banned: draw from an explicitly seeded fab::Rng "
-        "(src/util/random.h)");
-  });
-  ForEachToken(ctx.masked, "random_device", [&](size_t pos) {
-    Add(ctx, pos, "det-random-device",
-        "std::random_device is ambient entropy: all randomness must derive "
-        "from the experiment seed");
-  });
+  const auto report = [&ctx](size_t pos, const std::string& word) {
+    Add(ctx, pos, "det-raw-rng",
+        "'" + word +
+            "' is raw randomness: draw from an explicitly seeded fab::Rng / "
+            "Rng::Fork (src/util/random.h) so every stream derives from "
+            "(seed, unit_index)");
+  };
+  ForEachCall(ctx.masked, "rand", [&](size_t pos) { report(pos, "rand"); });
+  for (const char* word :
+       {"srand", "drand48", "lrand48", "rand_r", "random_shuffle",
+        "default_random_engine", "random_device", "mt19937", "mt19937_64"}) {
+    ForEachToken(ctx.masked, word, [&](size_t pos) { report(pos, word); });
+  }
   ForEachCall(ctx.masked, "time", [&](size_t pos) {
     Add(ctx, pos, "det-time",
         "wall-clock time is banned in deterministic code (steady_clock "
@@ -167,113 +174,6 @@ void CheckBannedRandomness(Ctx& ctx) {
         "std::chrono::system_clock is wall-clock time: use steady_clock for "
         "durations, never clock values in computation");
   });
-  const bool mt_allowed =
-      !ctx.all_rules && StartsWith(ctx.rel, "src/util/random.");
-  if (!mt_allowed) {
-    for (const char* word : {"mt19937", "mt19937_64"}) {
-      ForEachToken(ctx.masked, word, [&](size_t pos) {
-        Add(ctx, pos, "det-mt19937",
-            "construct RNGs via fab::Rng / Rng::Fork (src/util/random.h), "
-            "not std::mt19937 directly");
-      });
-    }
-  }
-}
-
-/// Collects names declared (in this file) with an unordered container type,
-/// then flags range-for statements and .begin()/.cbegin() calls on them.
-/// Per-file and lexical by design: members declared in another header are
-/// not tracked (the declaring header itself is linted instead).
-void CheckUnorderedIteration(Ctx& ctx) {
-  if (!ctx.all_rules && !StartsWith(ctx.rel, "src/core/") &&
-      !StartsWith(ctx.rel, "src/explain/") && !StartsWith(ctx.rel, "src/ml/")) {
-    return;
-  }
-  const std::string& text = ctx.masked;
-  std::set<std::string> names;
-  for (const char* type : {"unordered_map", "unordered_set",
-                           "unordered_multimap", "unordered_multiset"}) {
-    ForEachToken(text, type, [&](size_t pos) {
-      size_t i = SkipWs(text, pos + std::string(type).size());
-      if (i >= text.size() || text[i] != '<') return;
-      int depth = 1;
-      ++i;
-      while (i < text.size() && depth > 0) {
-        if (text[i] == '<') ++depth;
-        if (text[i] == '>') --depth;
-        ++i;
-      }
-      // Skip refs/pointers/cv between the type and the declared name.
-      while (i < text.size()) {
-        i = SkipWs(text, i);
-        if (i < text.size() && (text[i] == '&' || text[i] == '*')) {
-          ++i;
-          continue;
-        }
-        if (TokenAt(text, i, "const")) {
-          i += 5;
-          continue;
-        }
-        break;
-      }
-      size_t j = i;
-      while (j < text.size() && IsWordChar(text[j])) ++j;
-      if (j > i) names.insert(text.substr(i, j - i));
-    });
-  }
-  if (names.empty()) return;
-
-  // Range-for whose range expression is one of the collected names.
-  ForEachToken(text, "for", [&](size_t pos) {
-    size_t i = SkipWs(text, pos + 3);
-    if (i >= text.size() || text[i] != '(') return;
-    int depth = 1;
-    size_t colon = std::string::npos;
-    size_t k = i + 1;
-    while (k < text.size() && depth > 0) {
-      const char c = text[k];
-      if (c == '(') ++depth;
-      if (c == ')') --depth;
-      if (c == ':' && depth == 1 && colon == std::string::npos &&
-          (k + 1 >= text.size() || text[k + 1] != ':') &&
-          (k == 0 || text[k - 1] != ':')) {
-        colon = k;
-      }
-      ++k;
-    }
-    if (colon == std::string::npos) return;  // not a range-for
-    size_t e = SkipWs(text, colon + 1);
-    while (e < text.size() && (text[e] == '*' || text[e] == '&')) {
-      e = SkipWs(text, e + 1);
-    }
-    size_t f = e;
-    while (f < text.size() && IsWordChar(text[f])) ++f;
-    const std::string base = text.substr(e, f - e);
-    if (names.count(base) == 0) return;
-    // `base` alone or `base.something` both depend on hash order; only an
-    // exact container expression is flagged (members of the element do not
-    // appear here — the loop variable does).
-    Add(ctx, pos, "det-unordered-iter",
-        "range-for over unordered container '" + base +
-            "': hash order is not deterministic; reduce in index or "
-            "sorted-key order");
-  });
-
-  // Explicit iterator walks / bulk copies that expose hash order.
-  for (const std::string& name : names) {
-    ForEachToken(text, name, [&](size_t pos) {
-      const size_t after = pos + name.size();
-      for (const char* member : {".begin(", ".cbegin(", "->begin("}) {
-        if (text.compare(after, std::string(member).size(), member) == 0) {
-          Add(ctx, pos, "det-unordered-iter",
-              "iterator over unordered container '" + name +
-                  "': hash order is not deterministic; reduce in index or "
-                  "sorted-key order");
-          return;
-        }
-      }
-    });
-  }
 }
 
 // --- Safety rules. ----------------------------------------------------------
@@ -617,13 +517,10 @@ void CheckUnknownRules(Ctx& ctx) {
 
 const std::vector<RuleInfo>& AllRules() {
   static const std::vector<RuleInfo> kRules = {
-      {"det-rand", "std::rand() banned; use fab::Rng"},
-      {"det-random-device", "std::random_device banned; seed-derived only"},
       {"det-time", "time()/system_clock banned in deterministic code"},
-      {"det-mt19937", "std::mt19937 banned outside src/util/random.*"},
-      {"det-unordered-iter",
-       "no iteration over unordered containers in reduction code "
-       "(src/core, src/explain, src/ml)"},
+      {"det-raw-rng",
+       "rand()/srand/drand48/lrand48/rand_r/random_shuffle/"
+       "default_random_engine/random_device/mt19937 banned; use fab::Rng"},
       {"safety-assert", "bare assert() banned; use FAB_CHECK/FAB_DCHECK"},
       {"safety-catch-all", "catch (...) must rethrow or be justified"},
       {"safety-float-accum", "float accumulators banned; use double"},
@@ -650,24 +547,14 @@ const std::vector<RuleInfo>& AllRules() {
       {"net-raw-syscall",
        "raw ::socket/::bind/::epoll_*/... banned outside src/net/; "
        "use net::HttpClient / net::HttpServer"},
-      {"status-unchecked",
-       "Status/Result return values must be consumed (FAB_CHECK_OK, "
-       "assign, branch, return, or explicit (void))"},
-      {"status-nodiscard",
-       "Status/Result-returning declarations in src/ headers need "
-       "[[nodiscard]]"},
       {"perf-hot-alloc",
        "no heap allocation, unreserved growth, or string temporaries "
        "inside fablint:hot regions"},
       {"det-unordered-iteration",
-       "no accumulating/emitting loops over unordered containers in "
-       "det-reachable functions (fablint:det-root closure)"},
+       "no range-for or .begin()/.cbegin() walk over an unordered container "
+       "declared in the file or a directly included header (src/)"},
       {"det-pointer-key",
-       "no pointer-keyed maps/sets or pointer-comparison sorts in files "
-       "defining det-reachable functions"},
-      {"det-raw-rng",
-       "no srand/drand48/rand_r/random_shuffle/default_random_engine in "
-       "det-reachable functions"},
+       "no pointer-keyed maps/sets or pointer-comparison sorts (src/)"},
       {"conc-blocking-under-lock",
        "no blocking calls (future/pool waits, HTTP round-trips, sleeps, "
        "file IO) while a mutex is held"},
@@ -871,7 +758,6 @@ std::vector<Violation> LintSource(const std::string& rel_path,
   }
 
   CheckBannedRandomness(ctx);
-  CheckUnorderedIteration(ctx);
   CheckSafety(ctx);
   CheckHygiene(ctx);
   CheckHotAlloc(ctx);

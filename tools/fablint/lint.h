@@ -21,15 +21,14 @@
 /// what `// fablint:allow(<rule>)` suppressions are for.
 namespace fab::lint {
 
-/// One machine-applicable fix: replace bytes [begin, end) of the file the
-/// owning Violation names with `replacement`. Offsets index the ORIGINAL
-/// file contents (MaskSource preserves layout, so offsets computed on the
-/// masked view are valid here). Applied by the --fix engine (fix.h),
-/// which sorts, dedupes and overlap-checks edits per file.
+/// One machine-applicable fix: delete bytes [begin, end) of the file the
+/// owning Violation names. Offsets index the ORIGINAL file contents
+/// (MaskSource preserves layout, so offsets computed on the masked view
+/// are valid here). Applied by the --fix engine (fix.h), which sorts,
+/// dedupes and overlap-checks edits per file.
 struct Edit {
   size_t begin = 0;
   size_t end = 0;
-  std::string replacement;
 };
 
 /// One diagnostic: where, which rule, and a human-readable explanation.
@@ -63,9 +62,9 @@ const std::vector<RuleInfo>& AllRules();
 struct Options {
   /// When true, path-based scoping is disabled and every rule applies to
   /// every file (used by the fixture tests). When false, rules honor their
-  /// directory scopes: det-mt19937 is allowed inside src/util/random.*,
-  /// det-unordered-iter only fires under src/core/, src/explain/ and
-  /// src/ml/, and header-only rules skip .cc files.
+  /// directory scopes: det-unordered-iteration and det-pointer-key only
+  /// fire under src/, obs-raw-clock skips src/util/obs/ and bench/, and
+  /// header-only rules skip .cc files.
   bool all_rules = false;
 };
 

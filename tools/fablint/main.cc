@@ -15,7 +15,6 @@
 #include "lint.h"
 #include "repo_graph.h"
 #include "sarif.h"
-#include "semantic.h"
 
 namespace fs = std::filesystem;
 
@@ -27,13 +26,11 @@ constexpr const char* kUsage =
     "               [--callgraph-dump] [--sarif <path>] [--stats]\n"
     "               <file-or-dir>...\n"
     "\n"
-    "Lints fab C++ sources for determinism, safety and hygiene violations,\n"
-    "then runs cross-file rules (include cycles, unused includes, lock\n"
-    "ordering, mutex annotation coverage), the Status-discipline pass\n"
-    "(discarded Status/Result values, missing [[nodiscard]]) and the\n"
-    "call-graph determinism pass (unordered iteration / pointer keys /\n"
-    "raw RNG reachable from fablint:det-root entry points, plus blocking\n"
-    "calls under a held mutex) over the whole walked set.\n"
+    "Lints fab C++ sources in three passes: per-file determinism, safety\n"
+    "and hygiene rules; cross-file rules (include cycles, unused includes,\n"
+    "lock ordering, mutex annotation coverage); and determinism rules that\n"
+    "need headers or the call graph (unordered iteration and pointer keys\n"
+    "under src/, blocking calls under a held mutex).\n"
     "Diagnostics: <path>:<line>: [<rule-id>] <message>\n"
     "Suppress a finding with '// fablint:allow(<rule-id>)' on the same or\n"
     "the preceding line.\n"
@@ -47,8 +44,8 @@ constexpr const char* kUsage =
     "  --dry-run       with --fix: print the diff instead of writing\n"
     "  --list-rules    print the rule table and exit\n"
     "  --graph-dump    print the resolved include graph and exit\n"
-    "  --callgraph-dump  print the function call graph (definitions,\n"
-    "                  edges, det-root/det-reachable marks) and exit\n"
+    "  --callgraph-dump  print the function call graph (definitions and\n"
+    "                  their callees) and exit\n"
     "  --sarif <path>  also write violations as SARIF 2.1.0 to <path>\n"
     "  --stats         print files walked, per-rule violation counts and\n"
     "                  per-pass timings after the run\n"
@@ -218,8 +215,8 @@ int main(int argc, char** argv) {
     violations.insert(violations.end(), found.begin(), found.end());
   }
 
-  // Passes 2-4 share one node build: every file is masked and tokenized
-  // exactly once per run.
+  // Passes 2 and 3 share one node build: every file is masked and
+  // tokenized exactly once per run.
   const auto t_nodes = now();
   const std::vector<fab::lint::FileNode> nodes = fab::lint::BuildNodes(walked);
   record("tokenize", t_nodes, now());
@@ -234,16 +231,11 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const struct {
-    const char* name;
-    std::vector<fab::lint::Violation> (*run)(
-        const std::vector<fab::lint::FileNode>&, const fab::lint::Options&);
-  } passes[] = {{"2 graph", &fab::lint::LintRepoGraph},
-                {"3 semantic", &fab::lint::LintSemantic}};
-  for (const auto& pass : passes) {
+  {
     const auto t0 = now();
-    std::vector<fab::lint::Violation> found = pass.run(nodes, options);
-    record(pass.name, t0, now());
+    std::vector<fab::lint::Violation> found =
+        fab::lint::LintRepoGraph(nodes, options);
+    record("2 graph", t0, now());
     violations.insert(violations.end(), found.begin(), found.end());
   }
   {
@@ -251,11 +243,11 @@ int main(int argc, char** argv) {
     const fab::lint::CallGraph cg = fab::lint::BuildCallGraph(nodes);
     std::vector<fab::lint::Violation> found =
         fab::lint::LintDet(nodes, cg, options);
-    record("4 callgraph-det", t0, now());
+    record("3 callgraph-det", t0, now());
     violations.insert(violations.end(), found.begin(), found.end());
   }
-  // One global (path, line, rule) order so per-file, graph, semantic and
-  // det findings interleave deterministically.
+  // One global (path, line, rule) order so per-file, graph and det
+  // findings interleave deterministically.
   std::sort(violations.begin(), violations.end(),
             [](const fab::lint::Violation& a, const fab::lint::Violation& b) {
               if (a.path != b.path) return a.path < b.path;

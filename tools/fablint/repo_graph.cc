@@ -219,15 +219,6 @@ const std::set<std::string>& Keywords() {
   return kWords;
 }
 
-bool IsFunctionName(const std::string& name) {
-  if (name.empty() || !(name[0] >= 'A' && name[0] <= 'Z')) return false;
-  if (Keywords().count(name) > 0) return false;
-  for (char c : name) {
-    if (c >= 'a' && c <= 'z') return true;
-  }
-  return false;  // ALL_CAPS: a macro, not a function
-}
-
 size_t MatchTemplateArgs(const std::vector<Tok>& toks, size_t open) {
   int depth = 0;
   for (size_t j = open; j < toks.size(); ++j) {

@@ -10,12 +10,12 @@
 /// Shared repo-graph infrastructure for fablint's cross-file passes.
 ///
 /// Pass 2 (graph.cc: include DAG, lock order, mutex annotations) and
-/// pass 3 (semantic.cc: Status discipline over a cross-file signature
-/// index) both analyze every walked file at once. This header holds the
-/// representation they share — one FileNode per input with the masked
-/// source, a position-annotated token stream, the quoted-include edges
-/// and the exported-name index — so the files are masked and tokenized
-/// exactly once per run, in BuildNodes().
+/// pass 3 (det.cc over callgraph.cc: unordered iteration, pointer keys,
+/// blocking under a lock) both analyze every walked file at once. This
+/// header holds the representation they share — one FileNode per input
+/// with the masked source, a position-annotated token stream, the
+/// quoted-include edges and the exported-name index — so the files are
+/// masked and tokenized exactly once per run, in BuildNodes().
 namespace fab::lint {
 
 bool StartsWith(const std::string& s, const std::string& prefix);
@@ -61,11 +61,6 @@ struct FileNode {
 
 /// C++ keywords and common type names excluded from export extraction.
 const std::set<std::string>& Keywords();
-
-/// Project style: functions are PascalCase. Lowercase words are
-/// variables/keywords; SHOUTY words are macros. Shared by the semantic
-/// and call-graph passes so "looks like a function" means one thing.
-bool IsFunctionName(const std::string& name);
 
 /// toks[open] must be "<". Returns the index just past the matching ">",
 /// or 0 when the bracket never closes in this statement (a less-than
