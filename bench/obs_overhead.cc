@@ -1,14 +1,14 @@
 // Observability overhead microbenchmark: what does a FAB_TRACE_SCOPE
-// cost with collection off, with only the flight recorder on (the
-// always-on production configuration), and with full tracing on — and
-// how much serving throughput does each tier give back?
+// cost with the flight ring off, and with it on (the always-on
+// production configuration, and the one sink a FAB_TRACE export reads)
+// — and how much serving throughput does the ring give back?
 //
 //   ./obs_overhead [spans] [serve_rows]
 //
-// Reports ns/span for the three tiers and a BatchServer submit→complete
-// rows/s under each, plus the flight/off and trace/off throughput
-// ratios perf_gate holds floors on (an obs regression that halves
-// serving throughput fails CI before it ships).
+// Reports ns/span for the two tiers and a BatchServer submit→complete
+// rows/s under each, plus the flight/off throughput ratio perf_gate
+// holds a floor on (an obs regression that halves serving throughput
+// fails CI before it ships).
 
 #include <cstdio>
 #include <cstdlib>
@@ -30,8 +30,8 @@ namespace {
 
 volatile double g_sink = 0.0;
 
-/// ns per span for the current tracer/flight configuration. The span
-/// body is empty, so this is pure instrumentation cost.
+/// ns per span for the current flight-ring setting. The span body is
+/// empty, so this is pure instrumentation cost.
 double SpanNanos(size_t iters) {
   const auto start = fab::obs::Clock::Now();
   for (size_t i = 0; i < iters; ++i) {
@@ -95,23 +95,17 @@ int main(int argc, char** argv) {
   reporter.set_iters(kSpans);
 
   // --- Span cost per tier. --------------------------------------------------
-  fab::obs::StopTracing();
   fab::obs::FlightSetEnabled(false);
   const double ns_off = SpanNanos(kSpans);
 
   fab::obs::FlightSetEnabled(true);
   const double ns_flight = SpanNanos(kSpans);
-
-  fab::obs::StartTracing();
-  const double ns_trace = SpanNanos(kSpans);
-  fab::obs::StopTracing();
   fab::obs::FlightSetEnabled(false);
 
-  std::printf("span cost:   off %7.1f ns   flight %7.1f ns   trace %7.1f ns\n",
-              ns_off, ns_flight, ns_trace);
+  std::printf("span cost:   off %7.1f ns   flight %7.1f ns\n", ns_off,
+              ns_flight);
   reporter.AddScalar("span_ns_off", ns_off);
   reporter.AddScalar("span_ns_flight", ns_flight);
-  reporter.AddScalar("span_ns_trace", ns_trace);
 
   // --- Serving throughput per tier. -----------------------------------------
   const size_t kFeatures = 20;
@@ -145,23 +139,14 @@ int main(int argc, char** argv) {
 
   fab::obs::FlightSetEnabled(true);
   const double serve_flight = ServeRowsPerSec(server, servable, queries);
-
-  fab::obs::StartTracing();
-  const double serve_trace = ServeRowsPerSec(server, servable, queries);
-  fab::obs::StopTracing();
   fab::obs::FlightSetEnabled(false);
 
   const double ratio_flight = serve_off > 0.0 ? serve_flight / serve_off : 0.0;
-  const double ratio_trace = serve_off > 0.0 ? serve_trace / serve_off : 0.0;
-  std::printf(
-      "serve rows/s: off %9.0f   flight %9.0f (%.2fx)   trace %9.0f "
-      "(%.2fx)\n",
-      serve_off, serve_flight, ratio_flight, serve_trace, ratio_trace);
+  std::printf("serve rows/s: off %9.0f   flight %9.0f (%.2fx)\n", serve_off,
+              serve_flight, ratio_flight);
   reporter.AddScalar("serve_rows_per_s_off", serve_off);
   reporter.AddScalar("serve_rows_per_s_flight", serve_flight);
-  reporter.AddScalar("serve_rows_per_s_trace", serve_trace);
   reporter.AddScalar("serve_ratio_flight", ratio_flight);
-  reporter.AddScalar("serve_ratio_trace", ratio_trace);
 
   server.Shutdown();
   fab::bench::DieIf(reporter.Write(), "bench report");

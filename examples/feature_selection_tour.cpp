@@ -6,7 +6,6 @@
 //   ./feature_selection_tour
 
 #include <cstdio>
-#include <map>
 
 #include "core/experiments.h"
 #include "core/report.h"
@@ -15,27 +14,7 @@
 #include "explain/ranking.h"
 #include "util/string_util.h"
 
-namespace {
-
 using namespace fab;
-
-/// Mean score per category, for a quick per-method comparison.
-std::map<int, double> MeanByCategory(const core::ScenarioDataset& scenario,
-                                     const std::vector<double>& scores) {
-  std::map<int, std::pair<double, int>> acc;
-  for (size_t j = 0; j < scores.size(); ++j) {
-    auto& slot = acc[static_cast<int>(scenario.categories[j])];
-    slot.first += scores[j];
-    slot.second += 1;
-  }
-  std::map<int, double> out;
-  for (const auto& [cat, sum_count] : acc) {
-    out[cat] = sum_count.first / sum_count.second;
-  }
-  return out;
-}
-
-}  // namespace
 
 int main() {
   core::ExperimentConfig config = core::ExperimentConfig::FromEnv();

@@ -165,8 +165,9 @@ Status Experiments::PrecomputeAll(const std::vector<StudyPeriod>& periods,
   FAB_TRACE_SCOPE("core/precompute_all", {{"scenarios", pairs.size()}});
   std::vector<Status> statuses(pairs.size());
   util::ParallelFor(0, pairs.size(), [&](size_t i) {
-    FAB_TRACE_SCOPE("core/scenario", {{"period", PeriodName(pairs[i].first)},
-                                      {"window", pairs[i].second}});
+    const int year = pairs[i].first == StudyPeriod::k2017 ? 2017 : 2019;
+    FAB_TRACE_SCOPE("core/scenario",
+                    {{"period", year}, {"window", pairs[i].second}});
     statuses[i] = FinalVector(pairs[i].first, pairs[i].second).status();
   });
   for (const Status& s : statuses) FAB_RETURN_IF_ERROR(s);

@@ -120,11 +120,9 @@ Result<FraResult> RunFra(const ml::Dataset& data, const FraOptions& options) {
        current.size() > options.target_size && iter < options.max_iterations;
        ++iter) {
     // Explicit span object (not the macro) so the features-removed count,
-    // only known at the bottom of the iteration, lands on the end event.
+    // only known at the bottom of the iteration, can join its args.
     obs::TraceSpan iter_span("fra/iteration",
-                             {{"iter", iter},
-                              {"features", current.size()},
-                              {"corr_threshold", corr_threshold}});
+                             {{"iter", iter}, {"features", current.size()}});
     FAB_ASSIGN_OR_RETURN(ml::Dataset sub, data.SelectFeatures(current));
     FAB_ASSIGN_OR_RETURN(
         MethodImportances m,

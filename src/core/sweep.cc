@@ -397,7 +397,7 @@ Result<SweepReport> RunSweep(const SweepOptions& options) {
   util::ParallelFor(0, cells.size(), [&](size_t i) {
     const Cell& cell = cells[i];
     FAB_TRACE_SCOPE("core/sweep_cell",
-                    {{"regime", options.regimes[cell.regime_index].name},
+                    {{"regime", cell.regime_index},
                      {"seed", options.seeds[cell.seed_index]}});
     outcomes[i] =
         EvaluateCell(options, options.regimes[cell.regime_index],

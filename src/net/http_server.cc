@@ -344,7 +344,7 @@ void HttpServer::HandleReadable(EventLoop* loop, int fd) {
   while (true) {
     const ssize_t n = ::read(fd, buf, sizeof(buf));
     if (n > 0) {
-      FAB_TRACE_SCOPE("net/parse", {{"bytes", static_cast<long>(n)}});
+      FAB_TRACE_SCOPE("net/parse", {{"bytes", n}});
       const Status parsed = conn.parser.Consume(buf, static_cast<size_t>(n));
       if (!parsed.ok()) {
         parse_errors_.Increment();

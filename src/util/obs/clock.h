@@ -14,7 +14,7 @@ namespace fab::obs {
 /// enforces the boundary: a raw ::now() call outside src/util/obs/ and
 /// bench/ is a diagnostic. The point is auditability of the determinism
 /// contract: wall-clock values only ever flow *into* observability sinks
-/// (trace buffers, metric histograms, bench reports), never into any
+/// (the span ring, metric histograms, bench reports), never into any
 /// computation that produces pipeline artifacts, and keeping every read
 /// behind one chokepoint makes that provable by inspection.
 class Clock {

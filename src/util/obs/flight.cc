@@ -18,6 +18,7 @@ namespace {
 
 constexpr size_t kDefaultCapacity = 8192;
 constexpr size_t kMaxCapacity = size_t{1} << 22;
+constexpr size_t kMaxPath = 4096;
 
 size_t RoundUpPow2(size_t v) {
   size_t p = 1;
@@ -39,12 +40,16 @@ size_t CapacityFromEnv() {
   return RoundUpPow2(static_cast<size_t>(v));
 }
 
-/// One ring slot. Every field is a relaxed atomic so concurrent
-/// writer/reader access is race-free; the `seq` word is the seqlock that
-/// gives readers cross-field consistency:
+/// One ring slot. Every field is an atomic so concurrent writer/reader
+/// access is race-free; the `seq` word is the seqlock that gives readers
+/// cross-field consistency:
 ///   writer: seq = 2*ticket+1 (odd: writing), fields, seq = 2*ticket+2
 ///   reader: s1 = seq (must be even, nonzero), fields, s2 = seq, s1==s2
-/// A reader that loses the race simply skips the slot — never blocks.
+/// Fields are stored with release and loaded with acquire: a reader that
+/// sees any field of a newer write then also sees that write's odd seq
+/// in s2. This orders the seqlock without fences, which ThreadSanitizer
+/// cannot model, and costs plain moves on x86. A reader that loses the
+/// race simply skips the slot — never blocks.
 struct Slot {
   std::atomic<uint64_t> seq{0};
   std::atomic<const char*> name{nullptr};
@@ -52,14 +57,15 @@ struct Slot {
   std::atomic<int64_t> start_ns{0};
   std::atomic<int64_t> dur_ns{0};
   std::atomic<int> tid{0};
+  std::atomic<const char*> arg_key[kMaxTraceArgs] = {};
+  std::atomic<int64_t> arg_value[kMaxTraceArgs] = {};
 };
 
 std::atomic<bool> g_flight_enabled{false};
 
-/// Process-wide ring. Intentionally heap-allocated and never destroyed
-/// (same rationale as the Tracer in trace.cc): spans destruct during
-/// static teardown and the SIGSEGV handler must be able to walk the
-/// slots at absolutely any time.
+/// Process-wide ring. Intentionally heap-allocated and never destroyed:
+/// spans destruct during static teardown, and the exit hook and the
+/// SIGSEGV handler must be able to walk the slots at absolutely any time.
 class Ring {
  public:
   static Ring& Get() {
@@ -72,16 +78,25 @@ class Ring {
   size_t capacity() const { return capacity_; }
   Clock::time_point origin() const { return origin_; }
 
-  void Record(const char* name, uint64_t trace_id, int64_t start_ns,
-              int64_t dur_ns, int tid) {
+  /// Spans recorded so far that a newer span has overwritten.
+  uint64_t overwritten() const {
+    const uint64_t recorded = next_.load(std::memory_order_relaxed);
+    return recorded > capacity_ ? recorded - capacity_ : 0;
+  }
+
+  void Record(const FlightSpan& span) {
     const uint64_t ticket = next_.fetch_add(1, std::memory_order_relaxed);
     Slot& slot = slots_[ticket & mask_];
-    slot.seq.store(ticket * 2 + 1, std::memory_order_release);
-    slot.name.store(name, std::memory_order_relaxed);
-    slot.trace_id.store(trace_id, std::memory_order_relaxed);
-    slot.start_ns.store(start_ns, std::memory_order_relaxed);
-    slot.dur_ns.store(dur_ns, std::memory_order_relaxed);
-    slot.tid.store(tid, std::memory_order_relaxed);
+    slot.seq.store(ticket * 2 + 1, std::memory_order_relaxed);
+    slot.name.store(span.name, std::memory_order_release);
+    slot.trace_id.store(span.trace_id, std::memory_order_release);
+    slot.start_ns.store(span.start_ns, std::memory_order_release);
+    slot.dur_ns.store(span.dur_ns, std::memory_order_release);
+    slot.tid.store(span.tid, std::memory_order_release);
+    for (size_t k = 0; k < kMaxTraceArgs; ++k) {
+      slot.arg_key[k].store(span.args[k].key, std::memory_order_release);
+      slot.arg_value[k].store(span.args[k].value, std::memory_order_release);
+    }
     slot.seq.store(ticket * 2 + 2, std::memory_order_release);
   }
 
@@ -90,12 +105,15 @@ class Ring {
     const Slot& slot = slots_[i];
     const uint64_t s1 = slot.seq.load(std::memory_order_acquire);
     if (s1 == 0 || (s1 & 1) != 0) return false;
-    out->name = slot.name.load(std::memory_order_relaxed);
-    out->trace_id = slot.trace_id.load(std::memory_order_relaxed);
-    out->start_ns = slot.start_ns.load(std::memory_order_relaxed);
-    out->dur_ns = slot.dur_ns.load(std::memory_order_relaxed);
-    out->tid = slot.tid.load(std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_acquire);
+    out->name = slot.name.load(std::memory_order_acquire);
+    out->trace_id = slot.trace_id.load(std::memory_order_acquire);
+    out->start_ns = slot.start_ns.load(std::memory_order_acquire);
+    out->dur_ns = slot.dur_ns.load(std::memory_order_acquire);
+    out->tid = slot.tid.load(std::memory_order_acquire);
+    for (size_t k = 0; k < kMaxTraceArgs; ++k) {
+      out->args[k].key = slot.arg_key[k].load(std::memory_order_acquire);
+      out->args[k].value = slot.arg_value[k].load(std::memory_order_acquire);
+    }
     return slot.seq.load(std::memory_order_relaxed) == s1;
   }
 
@@ -117,13 +135,25 @@ class Ring {
   std::atomic<uint64_t> next_{0};
 };
 
-/// Small dense thread index for dump readability (signal-safe to read:
+/// Small dense thread index for trace readability (signal-safe to read:
 /// the ring stores the already-assigned value, never assigns in a
 /// handler).
 int LocalTid() {
   static std::atomic<int> counter{0};
   thread_local const int tid = counter.fetch_add(1, std::memory_order_relaxed) + 1;
   return tid;
+}
+
+/// Writes the decimal digits of `v` at `out`; returns one past the last.
+char* FormatU64(uint64_t v, char* out) {
+  char tmp[20];
+  int n = 0;
+  do {
+    tmp[n++] = static_cast<char>('0' + v % 10);
+    v /= 10;
+  } while (v != 0);
+  while (n > 0) *out++ = tmp[--n];
+  return out;
 }
 
 /// Append-to-fd writer built exclusively from write(2) and stack
@@ -136,13 +166,9 @@ class FdWriter {
     while (*s != '\0') Put(*s++);
   }
   void U64(uint64_t v) {
-    char tmp[20];
-    int n = 0;
-    do {
-      tmp[n++] = static_cast<char>('0' + v % 10);
-      v /= 10;
-    } while (v != 0);
-    while (n > 0) Put(tmp[--n]);
+    char digits[20];
+    const char* end = FormatU64(v, digits);
+    for (const char* p = digits; p != end; ++p) Put(*p);
   }
   void I64(int64_t v) {
     if (v < 0) {
@@ -168,8 +194,8 @@ class FdWriter {
     Put(static_cast<char>('0' + (frac / 10) % 10));
     Put(static_cast<char>('0' + frac % 10));
   }
-  /// Span names are string literals from our own code (fablint's
-  /// obs-span-literal rule), so instead of a full JSON escaper any
+  /// Span names and arg keys are string literals from our own code
+  /// (obs-span-literal, TraceArg), so instead of a full JSON escaper any
   /// character that would need escaping is replaced with '_'.
   void SafeName(const char* s) {
     for (; *s != '\0'; ++s) {
@@ -179,14 +205,17 @@ class FdWriter {
       Put(unsafe ? '_' : c);
     }
   }
-  void Flush() {
+  /// Writes out the buffer; false once any write has failed.
+  bool Flush() {
     size_t off = 0;
-    while (off < len_) {
+    while (ok_ && off < len_) {
       const ssize_t w = ::write(fd_, buf_ + off, len_ - off);
-      if (w <= 0) break;
-      off += static_cast<size_t>(w);
+      if (w < 0 && errno == EINTR) continue;
+      if (w <= 0) ok_ = false;
+      if (w > 0) off += static_cast<size_t>(w);
     }
     len_ = 0;
+    return ok_;
   }
 
  private:
@@ -196,43 +225,132 @@ class FdWriter {
   }
 
   const int fd_;
+  bool ok_ = true;
   size_t len_ = 0;
   char buf_[4096];
 };
 
-std::atomic<int> g_dump_fd{-1};
-std::atomic<bool> g_dump_done{false};
+/// The one trace writer, shared by WriteTrace, the exit hook and the
+/// crash handler: the ring as Chrome trace JSON ("X" complete events)
+/// into `<path>.tmp.<pid>`, then rename(2) over `path`. It uses only
+/// open/write/close/rename/unlink/getpid, memcpy and stack buffers, so
+/// it is async-signal-safe. False when any step fails.
+bool ExportRing(const char* path) {
+  const size_t len = std::strlen(path);
+  if (len >= kMaxPath) return false;
+  char tmp[kMaxPath + 32];
+  std::memcpy(tmp, path, len);
+  std::memcpy(tmp + len, ".tmp.", 5);
+  *FormatU64(static_cast<uint64_t>(::getpid()), tmp + len + 5) = '\0';
+  const int fd = ::open(tmp, O_CREAT | O_WRONLY | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) return false;
 
-/// First caller (crash handler or atexit, whichever fires) dumps; the
-/// other becomes a no-op so the file is written exactly once.
-void DumpOnce() {
-  const int fd = g_dump_fd.load(std::memory_order_relaxed);
-  if (fd < 0) return;
-  if (g_dump_done.exchange(true, std::memory_order_acq_rel)) return;
-  FlightDumpToFd(fd);
+  const Ring& ring = Ring::Get();
+  const uint64_t overwritten = ring.overwritten();
+  FdWriter w(fd);
+  w.Str("{\"displayTimeUnit\":\"ms\",\"otherData\":{\"spans_overwritten\":");
+  w.U64(overwritten);
+  w.Str("},\"traceEvents\":[");
+  bool first = true;
+  for (size_t i = 0; i < ring.capacity(); ++i) {
+    FlightSpan span;
+    if (!ring.Read(i, &span) || span.name == nullptr) continue;
+    w.Str(first ? "\n{\"name\":\"" : ",\n{\"name\":\"");
+    first = false;
+    w.SafeName(span.name);
+    w.Str("\",\"ph\":\"X\",\"ts\":");
+    w.Micros(span.start_ns);
+    w.Str(",\"dur\":");
+    w.Micros(span.dur_ns);
+    w.Str(",\"pid\":1,\"tid\":");
+    w.U64(static_cast<uint64_t>(span.tid));
+    w.Str(",\"cat\":\"fab\",\"args\":{");
+    const char* sep = "";
+    if (span.trace_id != 0) {
+      w.Str("\"trace\":\"");
+      w.Hex16(span.trace_id);
+      w.Str("\"");
+      sep = ",";
+    }
+    for (const TraceArg& arg : span.args) {
+      if (arg.key == nullptr) continue;
+      w.Str(sep);
+      sep = ",";
+      w.Str("\"");
+      w.SafeName(arg.key);
+      w.Str("\":");
+      w.I64(arg.value);
+    }
+    w.Str("}}");
+  }
+  w.Str("\n]}\n");
+  const bool written = w.Flush();
+  const bool closed = ::close(fd) == 0;
+  const bool ok = written && closed && ::rename(tmp, path) == 0;
+  if (!ok) ::unlink(tmp);
+
+  if (overwritten > 0) {
+    FdWriter err(STDERR_FILENO);
+    err.Str("fab::obs: trace ");
+    err.Str(path);
+    err.Str(" is missing ");
+    err.U64(overwritten);
+    err.Str(" spans the ");
+    err.U64(ring.capacity());
+    err.Str("-slot ring overwrote; raise FAB_FLIGHT_SPANS to keep them\n");
+    (void)err.Flush();  // a closed stderr loses only the warning
+  }
+  return ok;
 }
 
-void FlightSignalHandler(int sig) {
-  DumpOnce();
+/// FAB_TRACE's path, copied once at static init before the hooks that
+/// read it are armed.
+char g_trace_path[kMaxPath];
+std::atomic<bool> g_exported{false};
+
+/// First caller (crash handler or exit hook, whichever fires) exports;
+/// the other becomes a no-op, so the file is written exactly once.
+void ExportOnce() {
+  if (g_exported.exchange(true, std::memory_order_acq_rel)) return;
+  if (ExportRing(g_trace_path)) return;
+  FdWriter err(STDERR_FILENO);
+  err.Str("fab::obs: cannot write trace file ");
+  err.Str(g_trace_path);
+  err.Str("\n");
+  (void)err.Flush();  // nowhere left to report to
+}
+
+void ExportOnSignal(int sig) {
+  ExportOnce();
   // SA_RESETHAND already restored the default disposition; re-raise so
   // the process still dies with the original signal.
   ::raise(sig);
 }
 
-void FlightAtExitDump() { DumpOnce(); }
+void ExportAtExit() { ExportOnce(); }
 
-/// Static-init bootstrap, mirroring the tracer's: establishes the time
-/// origin early and honours the env knobs even in processes that never
-/// touch the API explicitly.
+/// Static-init bootstrap: sizes the ring and fixes its time origin
+/// before main, and arms the FAB_TRACE export even in processes that
+/// never touch the API.
 [[maybe_unused]] const bool g_flight_bootstrap = [] {
   Ring::Get();
-  const char* dump = std::getenv("FAB_FLIGHT_DUMP");
-  if (dump != nullptr && *dump != '\0') {
-    const Status status = FlightConfigureDump(dump);
-    if (!status.ok()) {
-      std::fprintf(stderr, "fab::obs: %s\n", status.ToString().c_str());
-    }
+  const char* path = std::getenv("FAB_TRACE");
+  if (path == nullptr || *path == '\0') return true;
+  const size_t len = std::strlen(path);
+  if (len >= kMaxPath) {
+    std::fprintf(stderr, "fab::obs: FAB_TRACE path too long; no export\n");
+    return true;
   }
+  std::memcpy(g_trace_path, path, len + 1);
+  struct sigaction sa;
+  std::memset(&sa, 0, sizeof(sa));
+  sa.sa_handler = ExportOnSignal;
+  sa.sa_flags = SA_RESETHAND;
+  sigemptyset(&sa.sa_mask);
+  for (const int sig : {SIGSEGV, SIGABRT, SIGBUS}) {
+    ::sigaction(sig, &sa, nullptr);
+  }
+  std::atexit(ExportAtExit);
   return true;
 }();
 
@@ -251,11 +369,20 @@ void FlightSetEnabled(bool enabled) {
 size_t FlightCapacity() { return Ring::Get().capacity(); }
 
 void FlightRecordSpan(const char* name, uint64_t trace_id,
-                      Clock::time_point start, Clock::time_point end) {
+                      Clock::time_point start, Clock::time_point end,
+                      std::span<const TraceArg> args) {
   if (!FlightEnabled()) return;
   Ring& ring = Ring::Get();
-  ring.Record(name, trace_id, Clock::NanosBetween(ring.origin(), start),
-              Clock::NanosBetween(start, end), LocalTid());
+  FlightSpan span;
+  span.name = name;
+  span.trace_id = trace_id;
+  span.start_ns = Clock::NanosBetween(ring.origin(), start);
+  span.dur_ns = Clock::NanosBetween(start, end);
+  span.tid = LocalTid();
+  for (size_t k = 0; k < args.size() && k < kMaxTraceArgs; ++k) {
+    span.args[k] = args[k];
+  }
+  ring.Record(span);
 }
 
 std::vector<FlightSpan> FlightSnapshot() {
@@ -269,64 +396,10 @@ std::vector<FlightSpan> FlightSnapshot() {
   return out;
 }
 
-void FlightDumpToFd(int fd) {
-  ::lseek(fd, 0, SEEK_SET);
-  while (::ftruncate(fd, 0) == -1 && errno == EINTR) {
+Status WriteTrace(const std::string& path) {
+  if (!ExportRing(path.c_str())) {
+    return Status::IoError("cannot write trace file: " + path);
   }
-  Ring& ring = Ring::Get();
-  FdWriter w(fd);
-  w.Str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-  bool first = true;
-  for (size_t i = 0; i < ring.capacity(); ++i) {
-    FlightSpan span;
-    if (!ring.Read(i, &span) || span.name == nullptr) continue;
-    if (!first) w.Str(",");
-    first = false;
-    w.Str("\n{\"name\":\"");
-    w.SafeName(span.name);
-    w.Str("\",\"ph\":\"X\",\"ts\":");
-    w.Micros(span.start_ns);
-    w.Str(",\"dur\":");
-    w.Micros(span.dur_ns);
-    w.Str(",\"pid\":1,\"tid\":");
-    w.U64(static_cast<uint64_t>(span.tid));
-    w.Str(",\"cat\":\"flight\",\"args\":{\"trace\":\"");
-    w.Hex16(span.trace_id);
-    w.Str("\"}}");
-  }
-  w.Str("\n]}\n");
-  w.Flush();
-}
-
-Status FlightDump(const std::string& path) {
-  const int fd =
-      ::open(path.c_str(), O_CREAT | O_WRONLY | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) return Status::IoError("cannot open flight dump file: " + path);
-  FlightDumpToFd(fd);
-  ::close(fd);
-  return Status::OK();
-}
-
-Status FlightConfigureDump(const std::string& path) {
-  const int fd =
-      ::open(path.c_str(), O_CREAT | O_WRONLY | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) return Status::IoError("cannot open flight dump file: " + path);
-  const int old = g_dump_fd.exchange(fd, std::memory_order_relaxed);
-  if (old >= 0) ::close(old);
-  g_dump_done.store(false, std::memory_order_relaxed);
-  static const bool installed = [] {
-    struct sigaction sa;
-    std::memset(&sa, 0, sizeof(sa));
-    sa.sa_handler = FlightSignalHandler;
-    sa.sa_flags = SA_RESETHAND;
-    sigemptyset(&sa.sa_mask);
-    ::sigaction(SIGSEGV, &sa, nullptr);
-    ::sigaction(SIGABRT, &sa, nullptr);
-    ::sigaction(SIGBUS, &sa, nullptr);
-    std::atexit(FlightAtExitDump);
-    return true;
-  }();
-  (void)installed;
   return Status::OK();
 }
 

@@ -2,39 +2,37 @@
 #define FAB_UTIL_OBS_FLIGHT_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "util/obs/clock.h"
+#include "util/obs/trace.h"
 #include "util/status.h"
 
 /// fab::obs flight recorder: a fixed-size lock-free ring of the most
-/// recently *completed* spans, always on — independent of FAB_TRACE.
-///
-/// Where the tracer (trace.h) keeps every event and needs an explicit
-/// export, the flight recorder keeps only the last N spans and is built
-/// to survive the worst moment: a crash. When FAB_FLIGHT_DUMP names a
-/// file, the fd is opened eagerly and SIGSEGV/SIGABRT/atexit handlers
-/// dump the ring as Chrome trace JSON through an async-signal-safe
-/// writer — so any crash report ships with its last seconds of spans.
+/// recently *completed* spans, always on. It is the one span sink: every
+/// TraceSpan lands here, /tracez snapshots it, and a FAB_TRACE export
+/// writes it out.
 ///
 /// Knobs (read once at process start):
 ///   FAB_FLIGHT_SPANS  ring capacity, rounded up to a power of two and
 ///                     capped at 2^22 (default 8192; 0 disables recording
 ///                     entirely; anything but decimal digits, or a value
 ///                     past 2^64-1, reads as unset)
-///   FAB_FLIGHT_DUMP   crash/exit dump path (unset = no dump handlers)
+///   FAB_TRACE         export path: the ring is written there as Chrome
+///                     trace JSON at exit and on SIGSEGV/SIGABRT/SIGBUS
+///                     (unset = no export)
 ///
-/// The ring is written on span destruction (TraceSpan wires itself in)
-/// and read by /tracez snapshots and the crash dumper. Writers claim a
-/// monotonically increasing ticket and overwrite slot `ticket % N`; a
-/// per-slot sequence word (seqlock) lets readers detect and skip slots
-/// they raced with. Span names must be string literals (fablint's
-/// obs-span-literal rule) so the stored `const char*` is dereferenceable
-/// forever — including from the signal handler.
+/// Writers claim a monotonically increasing ticket and overwrite slot
+/// `ticket % N`; a per-slot sequence word (seqlock) lets readers detect
+/// and skip slots they raced with. Span names and arg keys must be string
+/// literals (fablint's obs-span-literal rule, TraceArg's constructor) so
+/// the stored `const char*`s stay dereferenceable forever — including
+/// from the signal handler.
 ///
-/// Cost per recorded span: two relaxed fetch_adds plus a handful of
-/// relaxed stores (~tens of ns).
+/// Cost per recorded span: one relaxed fetch_add plus a dozen release
+/// stores, plain moves on x86 (~tens of ns).
 namespace fab::obs {
 
 /// One completed span, as copied out of the ring by FlightSnapshot.
@@ -47,6 +45,7 @@ struct FlightSpan {
   int64_t start_ns = 0;
   int64_t dur_ns = 0;
   int tid = 0;
+  TraceArg args[kMaxTraceArgs];  ///< unused entries have a null key
 };
 
 /// True when the ring accepts spans (capacity > 0 and not disabled by
@@ -60,29 +59,27 @@ void FlightSetEnabled(bool enabled);
 /// Ring capacity in spans (power of two; 0 when FAB_FLIGHT_SPANS=0).
 size_t FlightCapacity();
 
-/// Records one completed span. `name` MUST be a string literal (or
-/// otherwise immortal storage) — the pointer is kept, not the bytes.
+/// Records one completed span, unless the ring is disabled. `name` and
+/// every arg key MUST be string literals (or otherwise immortal storage);
+/// the pointers are kept, not the bytes. Args past kMaxTraceArgs are
+/// dropped. TraceSpan calls this; a span whose ends fall on different
+/// threads (a request's queue hop) calls it directly.
 void FlightRecordSpan(const char* name, uint64_t trace_id,
-                      Clock::time_point start, Clock::time_point end);
+                      Clock::time_point start, Clock::time_point end,
+                      std::span<const TraceArg> args = {});
 
 /// Copies every currently-valid slot out of the ring. Slots mid-write
 /// are skipped, not blocked on; the result is unordered.
 std::vector<FlightSpan> FlightSnapshot();
 
-/// Async-signal-safe: writes the ring to `fd` as Chrome trace JSON
-/// ("X" complete events) using only write(2) and stack buffers. Safe to
-/// call from a SIGSEGV handler. The fd is truncated/rewound first.
-void FlightDumpToFd(int fd);
-
-/// Convenience (NOT signal-safe): open `path`, dump, close.
-[[nodiscard]] Status FlightDump(const std::string& path);
-
-/// Opens `path` eagerly, keeps the fd, and installs SIGSEGV/SIGABRT
-/// handlers plus an atexit hook that dump the ring to it. Idempotent per
-/// path; callable at any time (the FAB_FLIGHT_DUMP env bootstrap calls
-/// it at static init, tests call it after fork). Whichever of crash or
-/// clean exit happens first writes the file exactly once.
-[[nodiscard]] Status FlightConfigureDump(const std::string& path);
+/// Writes the ring to `path` as Chrome trace JSON: one "X" event per
+/// span, and `"otherData":{"spans_overwritten":N}`, the spans the ring
+/// lost to wrap-around (also reported on stderr when N > 0). The file is
+/// written to a sibling temp file and renamed into place, so a reader
+/// never sees a partial trace even when processes export to one path
+/// concurrently. This is the same writer the FAB_TRACE exit and crash
+/// hooks run.
+[[nodiscard]] Status WriteTrace(const std::string& path);
 
 }  // namespace fab::obs
 

@@ -1,12 +1,11 @@
 #ifndef FAB_UTIL_OBS_TRACE_H_
 #define FAB_UTIL_OBS_TRACE_H_
 
+#include <concepts>
+#include <cstddef>
 #include <cstdint>
-#include <initializer_list>
-#include <string>
 
 #include "util/obs/clock.h"
-#include "util/status.h"
 
 /// fab::obs scoped-span tracing.
 ///
@@ -15,14 +14,17 @@
 ///   FAB_TRACE_SCOPE("fra/iteration", {{"iter", i}});   // span = this scope
 ///   ...
 ///   obs::TraceSpan span("ml/rf_fit", {{"trees", n}});  // explicit object
-///   span.AddArg("failed", 0);                          // lands on the end event
+///   span.AddArg("failed", 0);                          // known at the end
 ///
-/// Spans record a begin/end ("B"/"E") event pair on the monotonic clock
-/// (obs::Clock) into per-thread lock-free buffers. When the FAB_TRACE
-/// environment variable names a file, the process exports every buffered
-/// event at exit as Chrome trace_event JSON — loadable in chrome://tracing
-/// or https://ui.perfetto.dev. Collection costs nothing when FAB_TRACE is
-/// unset (one relaxed atomic load per span).
+/// A span reads the monotonic clock (obs::Clock) at both ends and, when it
+/// closes, writes one fixed-size record into the flight-recorder ring
+/// (flight.h): name, trace id, start, duration, thread and up to three
+/// integer args. The ring is the only span sink: /tracez reads it, and
+/// FAB_TRACE=<path> exports it as Chrome trace JSON at exit or on a crash.
+/// With the ring disabled a span costs one relaxed atomic load.
+///
+/// Knobs (flight.h, read once at process start): FAB_FLIGHT_SPANS sizes
+/// the ring, FAB_TRACE names the export file.
 ///
 /// Determinism contract: trace timestamps are observability sink data
 /// only. Nothing in this header returns a clock value to the caller, so
@@ -30,81 +32,60 @@
 /// computation — goldens are bitwise identical with tracing off and on.
 namespace fab::obs {
 
-/// One span argument value, pre-rendered to a JSON token. Implicit
-/// constructors let call sites write {{"iter", i}, {"tag", "fra"}}.
-class TraceValue {
- public:
-  TraceValue(double v);              // NOLINT(google-explicit-constructor)
-  TraceValue(int v);                 // NOLINT(google-explicit-constructor)
-  TraceValue(long v);                // NOLINT(google-explicit-constructor)
-  TraceValue(long long v);           // NOLINT(google-explicit-constructor)
-  TraceValue(unsigned int v);        // NOLINT(google-explicit-constructor)
-  TraceValue(unsigned long v);       // NOLINT(google-explicit-constructor)
-  TraceValue(unsigned long long v);  // NOLINT(google-explicit-constructor)
-  TraceValue(const char* s);         // NOLINT(google-explicit-constructor)
-  TraceValue(const std::string& s);  // NOLINT(google-explicit-constructor)
+/// At most this many args ride on one span (begin args plus AddArg).
+inline constexpr size_t kMaxTraceArgs = 3;
 
-  const std::string& json() const { return json_; }
-
- private:
-  std::string json_;  ///< a complete JSON scalar, e.g. `3` or `"fra"`
-};
-
+/// One integer span argument. The key binds only to a string literal and
+/// the value must be integral, so `{{"iter", i}}` compiles while a
+/// `c_str()` key or a `double` value does not: the ring keeps the key
+/// pointer, exactly as it keeps the span name.
 struct TraceArg {
-  const char* key;
-  TraceValue value;
+  TraceArg() = default;
+  template <size_t N, std::integral T>
+  TraceArg(const char (&k)[N], T v)  // NOLINT(google-explicit-constructor)
+      : key(k), value(static_cast<int64_t>(v)) {}
+
+  const char* key = nullptr;  ///< nullptr marks an unused ring arg
+  int64_t value = 0;
 };
 
-/// True when span collection is active (FAB_TRACE set, or StartTracing
-/// called). One relaxed atomic load — safe on any hot path.
-bool TraceEnabled();
-
-/// Turns collection on without an export path (tests call this, then
-/// WriteTrace explicitly). Idempotent.
-void StartTracing();
-
-/// Turns collection back off (tests and benches only — production
-/// tracing stays on for the process lifetime). Already-buffered events
-/// are kept and still export. Idempotent.
-void StopTracing();
-
-/// Merges every thread's buffered events and writes one Chrome
-/// trace_event JSON file. Written atomically (temp file + rename), so a
-/// reader never sees a partial trace even when concurrent processes
-/// export to the same path. Callers must quiesce their own spans first;
-/// idle pool workers are safe (buffers are only appended mid-span).
-[[nodiscard]] Status WriteTrace(const std::string& path);
-
-/// RAII span: records a "B" event at construction and the matching "E"
-/// event at destruction, on the constructing thread's buffer. Construct
-/// and destroy on the same thread (scoped locals always do).
+/// RAII span: reads the clock at construction and records itself into
+/// the flight ring at destruction. Construct and destroy on the same
+/// thread (scoped locals always do).
 ///
 /// Each span also captures the calling thread's trace context
-/// (obs::CurrentTraceId) at construction — so spans under a request
-/// carry the request's id in their "trace" arg — and, on destruction,
-/// records itself into the always-on flight recorder ring (flight.h).
-/// `name` must be a string literal (fablint's obs-span-literal rule):
-/// the flight ring stores the pointer, not the bytes.
+/// (obs::CurrentTraceId) at construction, so spans under a request carry
+/// the request's id. `name` must be a string literal (fablint's
+/// obs-span-literal rule): the ring stores the pointer, not the bytes.
 class TraceSpan {
  public:
   explicit TraceSpan(const char* name);
-  TraceSpan(const char* name, std::initializer_list<TraceArg> args);
+  template <size_t N>
+  TraceSpan(const char* name, const TraceArg (&args)[N]) : TraceSpan(name) {
+    static_assert(N <= kMaxTraceArgs, "a span holds at most three args");
+    for (const TraceArg& arg : args) AddArg(arg);
+  }
   ~TraceSpan();
 
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
-  /// Attaches an argument to the *end* event — for values only known
-  /// when the work completes (e.g. FRA's features-removed count).
-  void AddArg(const char* key, const TraceValue& value);
+  /// Attaches an arg known only when the work completes (e.g. FRA's
+  /// features-removed count). Args past the third are dropped.
+  template <size_t N, std::integral T>
+  void AddArg(const char (&key)[N], T value) {
+    AddArg(TraceArg(key, value));
+  }
 
  private:
+  void AddArg(const TraceArg& arg);
+
   const char* name_ = nullptr;
-  bool active_ = false;  ///< tracer collection (FAB_TRACE) is recording
-  bool flight_ = false;  ///< flight ring will record at destruction
+  bool active_ = false;  ///< the ring was on at construction
+  uint8_t num_args_ = 0;
   uint64_t trace_id_ = 0;
   Clock::time_point start_{};
-  std::string end_args_;  ///< accumulated `"key":value` pairs for the E event
+  TraceArg args_[kMaxTraceArgs];
 };
 
 }  // namespace fab::obs

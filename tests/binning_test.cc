@@ -91,7 +91,9 @@ TEST(BinningTest, CodeMatchesEdgeSemantics) {
     // Value lies within its bin: above the previous edge, at or below its
     // own edge.
     EXPECT_LE(col[i], b->upper_edge(0, code));
-    if (code > 0) EXPECT_GT(col[i], b->upper_edge(0, code - 1));
+    if (code > 0) {
+      EXPECT_GT(col[i], b->upper_edge(0, code - 1));
+    }
   }
 }
 

@@ -1,11 +1,10 @@
 // Tests for the fab::obs flight recorder (flight.h), the request trace
 // context (trace_context.h), and the /tracez span-tree builder
 // (net/debugz.h): ring wrap-around under concurrent pool load, the
-// crash-dump path (fork + abort + parse the dump), trace-id minting /
-// formatting / propagation through ThreadPool, and containment nesting.
-#include <sys/types.h>
+// FAB_TRACE crash export (a child process aborts, the parent parses the
+// file it left), trace-id minting / formatting / propagation through
+// ThreadPool, and containment nesting.
 #include <sys/wait.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
@@ -190,14 +189,15 @@ TEST(FlightRecorderTest, SetEnabledGatesRecording) {
   MakeSpan("flight/disabled", 0xdead);
   obs::FlightSetEnabled(true);
   ASSERT_TRUE(obs::FlightEnabled());
-  // FlightRecordSpan itself is the raw ring append (TraceSpan checks
-  // FlightEnabled before calling); verify the gate via TraceSpan.
+  // Neither a direct record nor a TraceSpan lands while the ring is off.
   {
     obs::FlightSetEnabled(false);
     FAB_TRACE_SCOPE("flight/gated");
   }
   obs::FlightSetEnabled(true);
-  EXPECT_EQ(CountByName(obs::FlightSnapshot(), "flight/gated"), 0u);
+  const std::vector<obs::FlightSpan> spans = obs::FlightSnapshot();
+  EXPECT_EQ(CountByName(spans, "flight/disabled"), 0u);
+  EXPECT_EQ(CountByName(spans, "flight/gated"), 0u);
 }
 
 TEST(FlightRecorderTest, TraceScopeRecordsIntoRingWithContext) {
@@ -217,6 +217,36 @@ TEST(FlightRecorderTest, TraceScopeRecordsIntoRingWithContext) {
   EXPECT_TRUE(found);
 }
 
+// --- Child processes. -------------------------------------------------------
+
+/// Runs `test` (a DISABLED_ probe) in a fresh copy of this binary whose
+/// environment is changed by `env_args` (arguments to env(1)), and
+/// returns its combined output; `*status` gets its wait status. The
+/// ring is sized and the FAB_TRACE export armed once at static init, so
+/// each setting needs its own process.
+std::string RunSelf(const std::string& env_args, const char* test,
+                    int* status) {
+  const std::string self =
+      std::filesystem::read_symlink("/proc/self/exe").string();
+  // exec: the wait status is the probe's own, not a shell's.
+  const std::string cmd = "exec env " + env_args + " '" + self +
+                          "' --gtest_filter=" + test +
+                          " --gtest_also_run_disabled_tests 2>&1";
+  std::string out;
+  FILE* pipe = ::popen(cmd.c_str(), "r");
+  if (pipe == nullptr) {
+    *status = -1;
+    return out;
+  }
+  char buffer[4096];
+  size_t n = 0;
+  while ((n = std::fread(buffer, 1, sizeof(buffer), pipe)) > 0) {
+    out.append(buffer, n);
+  }
+  *status = ::pclose(pipe);
+  return out;
+}
+
 // --- Capacity from FAB_FLIGHT_SPANS. ----------------------------------------
 
 // Not run by default: the capacity test below runs it in a child process
@@ -225,28 +255,15 @@ TEST(FlightCapacityProbe, DISABLED_PrintsCapacity) {
   std::printf("flight_capacity=%zu\n", obs::FlightCapacity());
 }
 
-/// FlightCapacity() of a fresh copy of this binary started with
-/// FAB_FLIGHT_SPANS=`value` (unset when null), or -1 when the child's
-/// output carries no capacity line. The ring is sized once at static
-/// init, so each value needs its own process.
+/// FlightCapacity() of a child started with FAB_FLIGHT_SPANS=`value`
+/// (unset when null), or -1 when the child's output carries no capacity
+/// line.
 long long ChildFlightCapacity(const char* value) {
-  const std::string self =
-      std::filesystem::read_symlink("/proc/self/exe").string();
-  std::string cmd = value == nullptr
-                        ? std::string("env -u FAB_FLIGHT_SPANS ")
-                        : "env 'FAB_FLIGHT_SPANS=" + std::string(value) + "' ";
-  cmd += "'" + self +
-         "' --gtest_filter=FlightCapacityProbe.DISABLED_PrintsCapacity"
-         " --gtest_also_run_disabled_tests 2>&1";
-  FILE* pipe = ::popen(cmd.c_str(), "r");
-  if (pipe == nullptr) return -1;
-  std::string out;
-  char buffer[4096];
-  size_t n = 0;
-  while ((n = std::fread(buffer, 1, sizeof(buffer), pipe)) > 0) {
-    out.append(buffer, n);
-  }
-  ::pclose(pipe);
+  int status = 0;
+  const std::string out = RunSelf(
+      value == nullptr ? std::string("-u FAB_FLIGHT_SPANS")
+                       : "'FAB_FLIGHT_SPANS=" + std::string(value) + "'",
+      "FlightCapacityProbe.DISABLED_PrintsCapacity", &status);
   const std::string tag = "flight_capacity=";
   const size_t at = out.find(tag);
   if (at == std::string::npos) return -1;
@@ -277,7 +294,7 @@ TEST(FlightRecorderTest, CapacityEnvAcceptsDecimalDigitsOnly) {
   }
 }
 
-// --- Crash dump. ------------------------------------------------------------
+// --- FAB_TRACE export. ------------------------------------------------------
 
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path);
@@ -286,19 +303,19 @@ std::string ReadFile(const std::string& path) {
   return out.str();
 }
 
-/// The dump must be strict JSON: gate it through python3 -m json.tool,
+/// The export must be strict JSON: gate it through python3 -m json.tool,
 /// the same validator the CI trace-smoke job uses.
 bool ParsesAsJson(const std::string& path) {
   const std::string cmd =
       "python3 -m json.tool " + path + " > /dev/null 2>&1";
-  return std::system(cmd.c_str()) == 0;  // fablint:allow(safety-catch-all)
+  return std::system(cmd.c_str()) == 0;
 }
 
 TEST(FlightDumpTest, ExplicitDumpIsParseableChromeTrace) {
   const std::string path = ::testing::TempDir() + "flight_explicit.json";
   const uint64_t id = 0x00000000c0ffee00ull;
   MakeSpan("flight/dumped", id);
-  ASSERT_TRUE(obs::FlightDump(path).ok());
+  ASSERT_TRUE(obs::WriteTrace(path).ok());
   const std::string text = ReadFile(path);
   EXPECT_NE(text.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(text.find("flight/dumped"), std::string::npos);
@@ -306,27 +323,27 @@ TEST(FlightDumpTest, ExplicitDumpIsParseableChromeTrace) {
   EXPECT_TRUE(ParsesAsJson(path)) << text.substr(0, 400);
 }
 
+// Not run by default: the crash-export test below runs it in a child
+// process started with FAB_TRACE set. It records a recognizable
+// request-shaped span set, then dies the way a real bug would; the
+// SIGABRT handler must export the ring before the default action runs.
+TEST(FlightDumpProbe, DISABLED_RecordsThenAborts) {
+  {
+    obs::ScopedTraceId scope(obs::MintTraceId());
+    FAB_TRACE_SCOPE("flight/crash-outer");
+    { FAB_TRACE_SCOPE("flight/crash-inner"); }
+  }
+  std::abort();
+}
+
 TEST(FlightDumpTest, AbortLeavesValidDumpBehind) {
   const std::string path = ::testing::TempDir() + "flight_abort.json";
   std::remove(path.c_str());
-  const pid_t pid = fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    // Child: arm the crash dump, record a recognizable request-shaped
-    // span set, then die the way a real bug would. The SIGABRT handler
-    // must write the ring before the default action kills us.
-    if (!obs::FlightConfigureDump(path).ok()) _exit(97);
-    const uint64_t id = obs::MintTraceId();
-    {
-      obs::ScopedTraceId scope(id);
-      FAB_TRACE_SCOPE("flight/crash-outer");
-      { FAB_TRACE_SCOPE("flight/crash-inner"); }
-    }
-    std::abort();
-  }
   int status = 0;
-  ASSERT_EQ(waitpid(pid, &status, 0), pid);
-  ASSERT_TRUE(WIFSIGNALED(status)) << "child exited " << status;
+  const std::string out =
+      RunSelf("'FAB_TRACE=" + path + "'",
+              "FlightDumpProbe.DISABLED_RecordsThenAborts", &status);
+  ASSERT_TRUE(WIFSIGNALED(status)) << "child exited " << status << "\n" << out;
   EXPECT_EQ(WTERMSIG(status), SIGABRT);
   const std::string text = ReadFile(path);
   ASSERT_FALSE(text.empty()) << "no dump written at " << path;

@@ -1,20 +1,29 @@
-// fab::obs tracer: span collection under concurrent ThreadPool load,
-// Chrome trace_event export shape, B/E balance and LIFO nesting per
-// thread, and arg rendering (including end-event args via AddArg).
+// fab::obs spans and their one sink: every TraceSpan lands in the flight
+// ring, and WriteTrace / FAB_TRACE export the ring as Chrome trace "X"
+// events. Covers span capture under concurrent ThreadPool load,
+// containment nesting per thread, integer args (begin args and AddArg)
+// on the span's single event, export failure, and the exit export of a
+// ring too small for the run (run in a child process).
 
 #include "util/obs/trace.h"
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "util/obs/flight.h"
+#include "util/obs/trace_context.h"
 #include "util/thread_pool.h"
 
 namespace fab::obs {
@@ -33,13 +42,15 @@ std::string ReadFile(const std::string& path) {
 }
 
 /// One exported trace event, recovered from the writer's one-event-per-
-/// line layout (good enough for assertions; CI revalidates the full file
-/// with python -m json.tool).
+/// line layout (good enough for assertions; ParsesAsJson and CI run a
+/// real JSON parser over whole files).
 struct ParsedEvent {
   std::string name;
-  char phase = '?';
+  std::string phase;
+  int64_t start_ns = 0;
+  int64_t end_ns = 0;
   int tid = -1;
-  std::string args;  // raw args object text, "" when absent
+  std::string args;  // raw args object text
 };
 
 std::string ExtractString(const std::string& line, const std::string& key) {
@@ -51,6 +62,20 @@ std::string ExtractString(const std::string& line, const std::string& key) {
   return line.substr(start, end - start);
 }
 
+/// A "ts"/"dur" value back in integer nanoseconds: the writer prints
+/// microseconds with exactly three decimals, so dropping the point is
+/// exact where parsing a double would round.
+int64_t ExtractNanos(const std::string& line, const std::string& key) {
+  const std::string marker = "\"" + key + "\":";
+  const size_t at = line.find(marker);
+  if (at == std::string::npos) return -1;
+  std::string digits;
+  for (size_t i = at + marker.size(); i < line.size() && line[i] != ','; ++i) {
+    if (line[i] != '.') digits += line[i];
+  }
+  return std::stoll(digits);
+}
+
 std::vector<ParsedEvent> ParseEvents(const std::string& json) {
   std::vector<ParsedEvent> events;
   std::istringstream in(json);
@@ -59,8 +84,9 @@ std::vector<ParsedEvent> ParseEvents(const std::string& json) {
     if (line.rfind("{\"name\":", 0) != 0) continue;
     ParsedEvent event;
     event.name = ExtractString(line, "name");
-    const std::string phase = ExtractString(line, "ph");
-    event.phase = phase.empty() ? '?' : phase[0];
+    event.phase = ExtractString(line, "ph");
+    event.start_ns = ExtractNanos(line, "ts");
+    event.end_ns = event.start_ns + ExtractNanos(line, "dur");
     const size_t tid_at = line.find("\"tid\":");
     if (tid_at != std::string::npos) {
       event.tid = std::atoi(line.c_str() + tid_at + 6);
@@ -68,27 +94,20 @@ std::vector<ParsedEvent> ParseEvents(const std::string& json) {
     const size_t args_at = line.find("\"args\":{");
     if (args_at != std::string::npos) {
       const size_t start = args_at + 8;
-      const size_t end = line.find('}', start);
-      event.args = line.substr(start, end - start);
+      event.args = line.substr(start, line.find('}', start) - start);
     }
     events.push_back(std::move(event));
   }
   return events;
 }
 
-TEST(ObsTraceTest, EnabledStateMatchesEnvBootstrap) {
-  const char* env = std::getenv("FAB_TRACE");
-  if (env != nullptr && *env != '\0') {
-    EXPECT_TRUE(TraceEnabled());  // env bootstrap switched collection on
-  }
-  // With no env var, collection may still have been switched on by an
-  // earlier StartTracing() in this process — only assert the env case.
+bool ParsesAsJson(const std::string& path) {
+  const std::string cmd = "python3 -m json.tool " + path + " > /dev/null 2>&1";
+  return std::system(cmd.c_str()) == 0;
 }
 
-TEST(ObsTraceTest, SpansBalanceAndNestUnderConcurrentPoolLoad) {
-  StartTracing();
-  ASSERT_TRUE(TraceEnabled());
-
+TEST(ObsTraceTest, SpansNestByContainmentUnderConcurrentPoolLoad) {
+  ASSERT_TRUE(FlightEnabled());
   constexpr size_t kItems = 64;
   util::ThreadPool pool(8);
   pool.ParallelFor(0, kItems, [](size_t i) {
@@ -106,77 +125,80 @@ TEST(ObsTraceTest, SpansBalanceAndNestUnderConcurrentPoolLoad) {
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
 
   const std::vector<ParsedEvent> events = ParseEvents(json);
-  // 64 outer + 192 inner spans, times B and E (plus threadpool/task
-  // spans from the instrumented pool) — all recorded, none dropped.
+  // 64 outer + 192 inner spans (plus threadpool/task spans from the
+  // instrumented pool): all recorded, none dropped, one "X" event each.
   size_t outer = 0, inner = 0;
   for (const ParsedEvent& event : events) {
-    if (event.name == "test/outer" && event.phase == 'B') ++outer;
-    if (event.name == "test/inner" && event.phase == 'B') ++inner;
+    EXPECT_EQ(event.phase, "X") << event.name;
+    if (event.name == "test/outer") ++outer;
+    if (event.name == "test/inner") ++inner;
   }
   EXPECT_EQ(outer, kItems);
   EXPECT_EQ(inner, 3 * kItems);
 
-  // Per-thread: B/E counts balance and nesting is LIFO (every end event
-  // matches the innermost open span on that thread). RAII scoped spans
-  // make this structurally true; the buffer must preserve it.
+  // Per thread, scoped spans nest by containment: sorted by start (the
+  // longer first on a tie), every span that starts inside another ends
+  // inside it too. RAII makes this structurally true; the ring's
+  // start/duration records must preserve it.
   std::map<int, std::vector<const ParsedEvent*>> by_tid;
   for (const ParsedEvent& event : events) {
     ASSERT_GE(event.tid, 0) << event.name;
+    ASSERT_GE(event.end_ns, event.start_ns) << event.name;
     by_tid[event.tid].push_back(&event);
   }
   EXPECT_GE(by_tid.size(), 1u);
-  for (const auto& [tid, seq] : by_tid) {
-    std::vector<std::string> stack;
-    for (const ParsedEvent* event : seq) {
-      if (event->phase == 'B') {
-        stack.push_back(event->name);
-      } else if (event->phase == 'E') {
-        ASSERT_FALSE(stack.empty()) << "unbalanced E on tid " << tid;
-        EXPECT_EQ(stack.back(), event->name) << "crossed spans on tid " << tid;
-        stack.pop_back();
+  for (auto& [tid, seq] : by_tid) {
+    std::sort(seq.begin(), seq.end(),
+              [](const ParsedEvent* a, const ParsedEvent* b) {
+                return a->start_ns != b->start_ns ? a->start_ns < b->start_ns
+                                                  : a->end_ns > b->end_ns;
+              });
+    for (size_t a = 0; a < seq.size(); ++a) {
+      for (size_t b = a + 1;
+           b < seq.size() && seq[b]->start_ns < seq[a]->end_ns; ++b) {
+        EXPECT_LE(seq[b]->end_ns, seq[a]->end_ns)
+            << seq[b]->name << " crosses " << seq[a]->name << " on tid " << tid;
       }
     }
-    EXPECT_TRUE(stack.empty()) << "unclosed span on tid " << tid;
   }
 }
 
-TEST(ObsTraceTest, ArgsRenderOnBeginAndAddArgLandsOnEnd) {
-  StartTracing();
+TEST(ObsTraceTest, BeginArgsAndAddArgLandOnTheSpansOneEvent) {
   {
-    TraceSpan span("test/args", {{"iter", 7}, {"tag", "fra"}, {"x", 1.5}});
+    const ScopedTraceId scope(0xabc);
+    TraceSpan span("test/args", {{"iter", 7}, {"features", -42}});
     span.AddArg("removed", 3);
+    span.AddArg("dropped", 4);  // a fourth arg has no slot
   }
   const std::string path = TempTracePath("args");
   ASSERT_TRUE(WriteTrace(path).ok());
-  const std::string json = ReadFile(path);
-  bool saw_begin = false, saw_end = false;
-  for (const ParsedEvent& event : ParseEvents(json)) {
+  size_t seen = 0;
+  for (const ParsedEvent& event : ParseEvents(ReadFile(path))) {
     if (event.name != "test/args") continue;
-    if (event.phase == 'B') {
-      saw_begin = true;
-      EXPECT_NE(event.args.find("\"iter\":7"), std::string::npos);
-      EXPECT_NE(event.args.find("\"tag\":\"fra\""), std::string::npos);
-      EXPECT_NE(event.args.find("\"x\":1.5"), std::string::npos);
-    }
-    if (event.phase == 'E' && !event.args.empty()) {
-      saw_end = true;
-      EXPECT_NE(event.args.find("\"removed\":3"), std::string::npos);
-    }
+    ++seen;
+    EXPECT_EQ(event.phase, "X");
+    EXPECT_NE(event.args.find("\"trace\":\"0000000000000abc\""),
+              std::string::npos)
+        << event.args;
+    EXPECT_NE(event.args.find("\"iter\":7"), std::string::npos) << event.args;
+    EXPECT_NE(event.args.find("\"features\":-42"), std::string::npos)
+        << event.args;
+    EXPECT_NE(event.args.find("\"removed\":3"), std::string::npos)
+        << event.args;
+    EXPECT_EQ(event.args.find("dropped"), std::string::npos) << event.args;
   }
-  EXPECT_TRUE(saw_begin);
-  EXPECT_TRUE(saw_end);
+  EXPECT_EQ(seen, 1u);
 }
 
 TEST(ObsTraceTest, ExportIsStructurallyBalancedJson) {
-  StartTracing();
   {
-    FAB_TRACE_SCOPE("test/struct", {{"quote", "with \"escapes\"\n"}});
+    FAB_TRACE_SCOPE("test/struct", {{"n", 1}});
   }
   const std::string path = TempTracePath("struct");
   ASSERT_TRUE(WriteTrace(path).ok());
   const std::string json = ReadFile(path);
-  // Structural smoke check (CI runs a real JSON parser over a full
-  // PrecomputeAll trace): braces and brackets balance outside strings.
+  // Structural smoke check (ParsesAsJson and CI run a real parser):
+  // braces and brackets balance outside strings.
   long depth = 0;
   bool in_string = false;
   for (size_t i = 0; i < json.size(); ++i) {
@@ -199,9 +221,51 @@ TEST(ObsTraceTest, ExportIsStructurallyBalancedJson) {
 }
 
 TEST(ObsTraceTest, WriteTraceReportsUnwritablePath) {
-  StartTracing();
   const Status status = WriteTrace("/nonexistent_dir_fab/trace.json");
   EXPECT_FALSE(status.ok());
+}
+
+// Not run by default: the exit-export test below runs it in a child
+// process started with FAB_TRACE and a 16-slot ring.
+TEST(ObsTraceProbe, DISABLED_Records40Spans) {
+  for (int i = 0; i < 40; ++i) {
+    FAB_TRACE_SCOPE("test/probe", {{"i", i}});
+  }
+}
+
+TEST(ObsTraceTest, ExitExportOfAFullRingReportsOverwrittenSpans) {
+  const std::string path = TempTracePath("exit");
+  std::remove(path.c_str());
+  const std::string self =
+      std::filesystem::read_symlink("/proc/self/exe").string();
+  const std::string cmd =
+      "env 'FAB_TRACE=" + path + "' FAB_FLIGHT_SPANS=16 '" + self +
+      "' --gtest_filter=ObsTraceProbe.DISABLED_Records40Spans"
+      " --gtest_also_run_disabled_tests 2>&1";
+  FILE* pipe = ::popen(cmd.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string out;
+  char buffer[4096];
+  size_t n = 0;
+  while ((n = std::fread(buffer, 1, sizeof(buffer), pipe)) > 0) {
+    out.append(buffer, n);
+  }
+  const int status = ::pclose(pipe);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << out;
+
+  const std::string json = ReadFile(path);
+  ASSERT_TRUE(ParsesAsJson(path)) << json.substr(0, 400);
+  const std::vector<ParsedEvent> events = ParseEvents(json);
+  EXPECT_GT(events.size(), 0u);
+  EXPECT_LE(events.size(), 16u);
+  const std::string tag = "\"spans_overwritten\":";
+  const size_t at = json.find(tag);
+  ASSERT_NE(at, std::string::npos) << json.substr(0, 200);
+  EXPECT_GE(std::atoll(json.c_str() + at + tag.size()), 24);
+  // One stderr line tells the user which knob would have kept them.
+  const size_t warned = out.find("FAB_FLIGHT_SPANS");
+  ASSERT_NE(warned, std::string::npos) << out;
+  EXPECT_EQ(out.find("FAB_FLIGHT_SPANS", warned + 1), std::string::npos) << out;
 }
 
 }  // namespace

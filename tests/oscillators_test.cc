@@ -73,7 +73,9 @@ TEST(MacdTest, LinePositiveInSustainedUptrend) {
 TEST(MacdTest, FlatSeriesHasZeroLine) {
   const MacdResult macd = Macd(std::vector<double>(100, 42.0));
   for (size_t i = 0; i < 100; ++i) {
-    if (macd.line.is_valid(i)) EXPECT_NEAR(macd.line.value(i), 0.0, 1e-9);
+    if (macd.line.is_valid(i)) {
+      EXPECT_NEAR(macd.line.value(i), 0.0, 1e-9);
+    }
   }
 }
 

@@ -17,7 +17,7 @@ constexpr size_t kNpos = static_cast<size_t>(-1);
 void Report(std::vector<Violation>& out, const FileNode& node, int line,
             const char* rule, std::string message) {
   if (AllowsRule(node.comment_lines, line, rule)) return;
-  out.push_back(Violation{node.rel, line, rule, std::move(message)});
+  out.push_back(Violation{node.rel, line, rule, std::move(message), {}});
 }
 
 // --- det-unordered-iteration. -----------------------------------------------

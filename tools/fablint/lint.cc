@@ -293,15 +293,15 @@ void CheckRawClock(Ctx& ctx) {
   }
 }
 
-/// FAB_TRACE_SCOPE's span name must be a string literal: TraceSpan and
-/// the flight recorder store the `const char*` unowned — the ring keeps
-/// it until the slot recycles and the signal-handler dump dereferences
-/// it long after the scope ended, so a std::string::c_str() or stack
-/// buffer there is a use-after-free in the crash path. Detection works
-/// on masked text: a literal first argument (quotes included) masks to
-/// pure whitespace, so ANY visible character before the argument's
-/// closing ',' or ')' means a computed name. src/util/obs/ (the macro's
-/// own definition and span internals) is exempt.
+/// FAB_TRACE_SCOPE's span name must be a string literal: the flight ring
+/// stores the `const char*` unowned — it keeps it until the slot recycles
+/// and the exit or signal-handler trace export dereferences it long after
+/// the scope ended, so a std::string::c_str() or stack buffer there is a
+/// use-after-free in the crash path. Detection works on masked text: a
+/// literal first argument (quotes included) masks to pure whitespace, so
+/// ANY visible character before the argument's closing ',' or ')' means
+/// a computed name. src/util/obs/ (the macro's own definition and span
+/// internals) is exempt.
 void CheckSpanLiteral(Ctx& ctx) {
   if (!ctx.all_rules && StartsWith(ctx.rel, "src/util/obs/")) return;
   const std::string& text = ctx.masked;
@@ -320,8 +320,8 @@ void CheckSpanLiteral(Ctx& ctx) {
     }
     if (!visible) return;
     Add(ctx, pos, "obs-span-literal",
-        "FAB_TRACE_SCOPE name must be a string literal: the span/flight "
-        "ring stores the char* unowned and the crash dump reads it after "
+        "FAB_TRACE_SCOPE name must be a string literal: the flight ring "
+        "stores the char* unowned and the trace export reads it after "
         "the scope dies");
   });
 }
@@ -508,7 +508,8 @@ void CheckUnknownRules(Ctx& ctx) {
           ctx.rel, line, "lint-unknown-rule",
           "unknown rule id '" + id +
               "' in fablint:allow list (run fablint --list-rules; a typo "
-              "here suppresses nothing)"});
+              "here suppresses nothing)",
+          {}});
     });
   }
 }
@@ -542,8 +543,8 @@ const std::vector<RuleInfo>& AllRules() {
        "raw *_clock::now() banned outside src/util/obs/ and bench/; "
        "use obs::Clock"},
       {"obs-span-literal",
-       "FAB_TRACE_SCOPE name must be a string literal (the span/flight "
-       "ring stores the char* unowned)"},
+       "FAB_TRACE_SCOPE name must be a string literal (the flight ring "
+       "stores the char* unowned)"},
       {"net-raw-syscall",
        "raw ::socket/::bind/::epoll_*/... banned outside src/net/; "
        "use net::HttpClient / net::HttpServer"},

@@ -78,13 +78,12 @@ GATES = {
         "overload_ok": ("floor", 1.0),
     },
     "obs_overhead": {
-        # Observability must stay nearly free. These are throughput
-        # ratios vs the obs-off serving baseline measured in the same
-        # process (hardware-portable): the always-on flight-recorder
-        # tier and full tracing may each cost at most half the
-        # baseline's serving throughput.
+        # Observability must stay nearly free. This is a throughput
+        # ratio vs the obs-off serving baseline measured in the same
+        # process (hardware-portable): the always-on flight ring, the one
+        # span sink a FAB_TRACE export also reads, may cost at most half
+        # the baseline's serving throughput.
         "serve_ratio_flight": ("floor", 0.5),
-        "serve_ratio_trace": ("floor", 0.5),
     },
     "sweep": {
         # The seed x regime property sweep (tools/sweep) is pass/fail
