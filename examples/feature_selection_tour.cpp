@@ -6,6 +6,7 @@
 //   ./feature_selection_tour
 
 #include <cstdio>
+#include <numeric>
 
 #include "core/experiments.h"
 #include "core/report.h"
@@ -31,9 +32,11 @@ int main() {
   std::printf("Scenario 2019_30: %zu rows, %zu candidates\n\n",
               scenario.data.num_rows(), scenario.data.num_features());
 
-  // Method 1: |Pearson| correlation with the target.
+  // Method 1: |Pearson| correlation with the target, over every candidate.
+  std::vector<int> candidates(scenario.data.num_features());
+  std::iota(candidates.begin(), candidates.end(), 0);
   const std::vector<double> corr =
-      explain::AbsFeatureTargetCorrelations(scenario.data);
+      explain::AbsFeatureTargetCorrelations(scenario.data, candidates);
   std::printf("Top 5 by |Pearson| correlation:\n");
   for (const auto& name :
        explain::TopKNames(corr, scenario.data.feature_names, 5)) {

@@ -17,16 +17,17 @@
 //
 //   ./forecast_server             # demo mode: runs the tour, exits 0
 //   ./forecast_server --serve [P] # stays up on port P (default ephemeral)
+//                                 # until SIGINT/SIGTERM, then exits 0
 //
 // Demo mode doubles as the ctest `forecast_server_example` smoke test: a
 // real TCP socket, JSON-validated responses, non-zero exit on any miss.
 
+#include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "ml/forest.h"
@@ -132,6 +133,16 @@ int main(int argc, char** argv) {
     }
   }
 
+  // --serve stops on SIGINT or SIGTERM. Both are blocked here, before any
+  // thread starts, and every thread inherits the mask, so the sigwait
+  // below is the only taker: the server shuts down and main returns,
+  // which runs the exit hooks (the FAB_TRACE export among them).
+  sigset_t stop_signals;
+  sigemptyset(&stop_signals);
+  sigaddset(&stop_signals, SIGINT);
+  sigaddset(&stop_signals, SIGTERM);
+  if (serve_forever) pthread_sigmask(SIG_BLOCK, &stop_signals, nullptr);
+
   const std::string dir =
       (std::filesystem::temp_directory_path() / "fab_forecast_server_demo")
           .string();
@@ -200,7 +211,14 @@ int main(int argc, char** argv) {
 
   if (serve_forever) {
     std::printf("press Ctrl-C to stop\n");
-    for (;;) std::this_thread::sleep_for(std::chrono::seconds(60));
+    std::fflush(stdout);
+    int signal = 0;
+    sigwait(&stop_signals, &signal);
+    std::printf("%s: shutting down\n", signal == SIGINT ? "SIGINT" : "SIGTERM");
+    server.Shutdown();
+    (*router)->Shutdown();
+    std::filesystem::remove_all(dir);
+    return 0;
   }
 
   // --- 4. Exercise the API through the sanctioned client. ------------------

@@ -177,18 +177,24 @@ Result<ScenarioDataset> BuildScenarioDataset(const sim::SimulatedMarket& market,
         "scenario has fewer than 100 complete rows");
   }
 
-  // Assemble the ml::Dataset.
-  std::vector<std::vector<double>> cols;
+  // Assemble the ml::Dataset. Each feature is written straight into the
+  // matrix's one buffer, with nulls as 0 like Column::ToDense.
+  std::vector<const table::Column*> features;
   for (const auto& name : complete.column_names()) {
     if (name == "__target__") continue;
-    const table::Column& c = **complete.GetColumn(name);
-    cols.push_back(c.ToDense(0.0));
+    features.push_back(*complete.GetColumn(name));
     scenario.data.feature_names.push_back(name);
     FAB_ASSIGN_OR_RETURN(sim::DataCategory cat, market.catalog.CategoryOf(name));
     scenario.categories.push_back(cat);
   }
-  FAB_ASSIGN_OR_RETURN(scenario.data.x,
-                       ml::ColMatrix::FromColumns(std::move(cols)));
+  scenario.data.x = ml::ColMatrix(complete.num_rows(), features.size());
+  for (size_t j = 0; j < features.size(); ++j) {
+    const table::Column& c = *features[j];
+    const std::span<double> dst = scenario.data.x.mutable_column(j);
+    for (size_t r = 0; r < dst.size(); ++r) {
+      dst[r] = c.is_valid(r) ? c.value(r) : 0.0;
+    }
+  }
   scenario.data.y = (*complete.GetColumn("__target__"))->ToDense(0.0);
   scenario.dates = complete.index();
   return scenario;

@@ -24,11 +24,16 @@ struct MethodImportances {
   std::vector<double> xgb_pfi;
 };
 
-Result<MethodImportances> EvaluateMethods(const ml::Dataset& sub,
+/// The four importances of `features` (positions in `data`). The train
+/// and holdout sets are gathered straight from `data`: a copy of every
+/// row of the surviving features first would double the iteration's
+/// peak matrix memory.
+Result<MethodImportances> EvaluateMethods(const ml::Dataset& data,
+                                          const std::vector<int>& features,
                                           const FraOptions& options,
                                           uint64_t iteration_seed) {
   // Shuffled train/holdout split; PFI measures on the holdout.
-  const size_t n = sub.num_rows();
+  const size_t n = data.num_rows();
   std::vector<int> rows(n);
   std::iota(rows.begin(), rows.end(), 0);
   Rng rng(iteration_seed);
@@ -41,8 +46,10 @@ Result<MethodImportances> EvaluateMethods(const ml::Dataset& sub,
                                     rows.begin() + static_cast<long>(holdout));
   const std::vector<int> train_rows(rows.begin() + static_cast<long>(holdout),
                                     rows.end());
-  const ml::Dataset train = sub.TakeRows(train_rows);
-  const ml::Dataset valid = sub.TakeRows(valid_rows);
+  FAB_ASSIGN_OR_RETURN(const ml::Dataset train,
+                       data.Subset(train_rows, features));
+  FAB_ASSIGN_OR_RETURN(const ml::Dataset valid,
+                       data.Subset(valid_rows, features));
 
   ml::ForestParams rf_params = options.rf;
   rf_params.seed = iteration_seed ^ 0x8Fu;
@@ -123,13 +130,12 @@ Result<FraResult> RunFra(const ml::Dataset& data, const FraOptions& options) {
     // only known at the bottom of the iteration, can join its args.
     obs::TraceSpan iter_span("fra/iteration",
                              {{"iter", iter}, {"features", current.size()}});
-    FAB_ASSIGN_OR_RETURN(ml::Dataset sub, data.SelectFeatures(current));
     FAB_ASSIGN_OR_RETURN(
         MethodImportances m,
-        EvaluateMethods(sub, options,
+        EvaluateMethods(data, current, options,
                         options.seed + static_cast<uint64_t>(iter) * 0x51ull));
     const std::vector<double> corr =
-        explain::AbsFeatureTargetCorrelations(sub);
+        explain::AbsFeatureTargetCorrelations(data, current);
 
     const std::vector<bool> bottom_rf_mdi =
         explain::BottomFractionMask(m.rf_mdi, options.bottom_fraction);
@@ -174,13 +180,12 @@ Result<FraResult> RunFra(const ml::Dataset& data, const FraOptions& options) {
   // Final consensus ranking over the surviving set. Reuse the last
   // evaluation when its size matches (nothing was removed in the final
   // iteration); otherwise evaluate once more.
-  FAB_ASSIGN_OR_RETURN(ml::Dataset final_sub, data.SelectFeatures(current));
   std::vector<double> scores;
   if (have_methods && last_methods.rf_mdi.size() == current.size()) {
     scores = ConsensusScores(last_methods);
   } else {
     FAB_ASSIGN_OR_RETURN(MethodImportances m,
-                         EvaluateMethods(final_sub, options,
+                         EvaluateMethods(data, current, options,
                                          options.seed ^ 0xF1A1ull));
     scores = ConsensusScores(m);
   }

@@ -176,7 +176,7 @@ CellOutcome EvaluateCell(const SweepOptions& options, const RegimeSpec& regime,
       {
         PropertyCheck check{kNoNanOrInf, true, tag, ""};
         for (size_t c = 0; c < ds.data.num_features() && check.passed; ++c) {
-          const std::vector<double>& col = ds.data.x.column(c);
+          const std::span<const double> col = ds.data.x.column(c);
           for (size_t r = 0; r < col.size(); ++r) {
             if (!std::isfinite(col[r])) {
               check.passed = false;

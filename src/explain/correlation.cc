@@ -14,9 +14,13 @@ std::vector<double> FeatureTargetCorrelations(const ml::Dataset& data) {
   return out;
 }
 
-std::vector<double> AbsFeatureTargetCorrelations(const ml::Dataset& data) {
-  std::vector<double> out = FeatureTargetCorrelations(data);
-  for (double& v : out) v = std::fabs(v);
+std::vector<double> AbsFeatureTargetCorrelations(
+    const ml::Dataset& data, const std::vector<int>& features) {
+  std::vector<double> out(features.size(), 0.0);
+  for (size_t j = 0; j < features.size(); ++j) {
+    out[j] = std::fabs(stats::PearsonCorrelation(
+        data.x.column(static_cast<size_t>(features[j])), data.y));
+  }
   return out;
 }
 

@@ -11,9 +11,11 @@ namespace fab::explain {
 /// [-1, 1]; 0 for constant features).
 std::vector<double> FeatureTargetCorrelations(const ml::Dataset& data);
 
-/// |Pearson| of every feature with the target — the correlation signal
-/// the Feature Reduction Algorithm thresholds on.
-std::vector<double> AbsFeatureTargetCorrelations(const ml::Dataset& data);
+/// |Pearson| of the listed features (positions in `data`) with the
+/// target, in list order — the correlation signal the Feature Reduction
+/// Algorithm thresholds on. The columns are read in place.
+std::vector<double> AbsFeatureTargetCorrelations(
+    const ml::Dataset& data, const std::vector<int>& features);
 
 }  // namespace fab::explain
 

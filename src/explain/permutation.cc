@@ -36,12 +36,13 @@ std::vector<double> ShuffleImportance(const ml::Dataset& data,
         FAB_TRACE_SCOPE("explain/pfi_feature", {{"feature", j}});
         Rng rng(feature_seeds[j]);
         auto mse_with = make_scorer(j);
-        const std::vector<double>& original = data.x.column(j);
+        const std::span<const double> original = data.x.column(j);
+        std::vector<double> shuffled;
         double acc = 0.0;
         for (int r = 0; r < options.n_repeats; ++r) {
-          std::vector<double> shuffled = original;
+          shuffled.assign(original.begin(), original.end());
           rng.Shuffle(shuffled);
-          acc += mse_with(std::move(shuffled)) - base_mse;
+          acc += mse_with(shuffled) - base_mse;
         }
         importance[j] = acc / static_cast<double>(options.n_repeats);
       },
@@ -58,8 +59,8 @@ std::vector<double> GenericImportance(const ml::Regressor& model,
   const double base_mse = ml::MeanSquaredError(data.y, model.Predict(data.x));
   return ShuffleImportance(data, options, base_mse, [&](size_t j) {
     return [&model, &data, j, scratch = data.x](
-               std::vector<double> shuffled) mutable {
-      scratch.mutable_column(j) = std::move(shuffled);
+               const std::vector<double>& shuffled) mutable {
+      std::ranges::copy(shuffled, scratch.mutable_column(j).begin());
       return ml::MeanSquaredError(data.y, model.Predict(scratch));
     };
   });

@@ -60,7 +60,7 @@ Result<BinnedMatrix> BinnedMatrix::Build(const ColMatrix& x, int max_bins) {
   std::vector<ValueRow> sorted(n);
   std::vector<ValueRow> scratch;
   for (size_t c = 0; c < x.cols(); ++c) {
-    const std::vector<double>& col = x.column(c);
+    const std::span<const double> col = x.column(c);
     bool negative_zero = false;
     for (size_t i = 0; i < n; ++i) {
       const double v = col[i];

@@ -1,28 +1,31 @@
 #include "ml/matrix.h"
 
+#include <algorithm>
+#include <numeric>
 #include <unordered_map>
 
 namespace fab::ml {
 
 Result<ColMatrix> ColMatrix::FromColumns(
     std::vector<std::vector<double>> cols) {
-  ColMatrix m;
-  m.cols_ = cols.size();
-  m.rows_ = cols.empty() ? 0 : cols[0].size();
+  const size_t rows = cols.empty() ? 0 : cols[0].size();
   for (const auto& c : cols) {
-    if (c.size() != m.rows_) {
+    if (c.size() != rows) {
       return Status::InvalidArgument("column length mismatch");
     }
   }
-  m.data_ = std::move(cols);
+  ColMatrix m(rows, cols.size());
+  for (size_t c = 0; c < cols.size(); ++c) {
+    std::ranges::copy(cols[c], m.mutable_column(c).begin());
+  }
   return m;
 }
 
 ColMatrix ColMatrix::TakeRows(const std::vector<int>& rows) const {
   ColMatrix out(rows.size(), cols_);
   for (size_t c = 0; c < cols_; ++c) {
-    const std::vector<double>& src = data_[c];
-    std::vector<double>& dst = out.data_[c];
+    const std::span<const double> src = column(c);
+    const std::span<double> dst = out.mutable_column(c);
     for (size_t i = 0; i < rows.size(); ++i) {
       dst[i] = src[static_cast<size_t>(rows[i])];
     }
@@ -40,17 +43,32 @@ Dataset Dataset::TakeRows(const std::vector<int>& rows) const {
 }
 
 Result<Dataset> Dataset::SelectFeatures(const std::vector<int>& cols) const {
-  std::vector<std::vector<double>> new_cols;
-  Dataset out;
+  std::vector<int> rows(num_rows());
+  std::iota(rows.begin(), rows.end(), 0);
+  return Subset(rows, cols);
+}
+
+Result<Dataset> Dataset::Subset(const std::vector<int>& rows,
+                                const std::vector<int>& cols) const {
   for (int c : cols) {
     if (c < 0 || static_cast<size_t>(c) >= num_features()) {
       return Status::OutOfRange("feature index out of range");
     }
-    new_cols.push_back(x.column(static_cast<size_t>(c)));
-    out.feature_names.push_back(feature_names[static_cast<size_t>(c)]);
   }
-  FAB_ASSIGN_OR_RETURN(out.x, ColMatrix::FromColumns(std::move(new_cols)));
-  out.y = y;
+  // Gathered straight into the new matrix's one buffer, column by column.
+  Dataset out;
+  out.x = ColMatrix(rows.size(), cols.size());
+  for (size_t j = 0; j < cols.size(); ++j) {
+    const auto src = static_cast<size_t>(cols[j]);
+    const std::span<const double> from = x.column(src);
+    const std::span<double> to = out.x.mutable_column(j);
+    for (size_t i = 0; i < rows.size(); ++i) {
+      to[i] = from[static_cast<size_t>(rows[i])];
+    }
+    out.feature_names.push_back(feature_names[src]);
+  }
+  out.y.reserve(rows.size());
+  for (int r : rows) out.y.push_back(y[static_cast<size_t>(r)]);
   return out;
 }
 

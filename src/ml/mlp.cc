@@ -58,7 +58,7 @@ Status MlpRegressor::Fit(const ColMatrix& x, const std::vector<double>& y) {
   x_mean_.assign(f, 0.0);
   x_std_.assign(f, 1.0);
   for (size_t j = 0; j < f; ++j) {
-    const std::vector<double>& col = x.column(j);
+    const std::span<const double> col = x.column(j);
     double mean = 0.0;
     for (double v : col) mean += v;
     mean /= static_cast<double>(n);

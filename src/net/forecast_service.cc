@@ -31,66 +31,150 @@ void SendError(const Responder& responder, const Status& status,
   responder.Send(std::move(response));
 }
 
-/// A validated /predict body: the scenario key and its rows as one
-/// matrix.
-struct PredictBody {
-  serve::ModelKey key;
-  ml::ColMatrix rows;
+constexpr char kFieldsError[] =
+    "body requires string \"period\", string \"model\" and number "
+    "\"window\"";
+constexpr char kRowsError[] =
+    "body requires a non-empty \"rows\" array of feature arrays";
+
+/// A string member's value into `*out`, or any other value checked and
+/// skipped; `*found` says which.
+Status ReadStringField(JsonReader* reader, std::string* out, bool* found) {
+  FAB_ASSIGN_OR_RETURN(const JsonValue::Type type, reader->Peek());
+  *found = type == JsonValue::Type::kString;
+  return *found ? reader->ReadString(out) : reader->Skip();
+}
+
+/// One "rows" member's value: its numbers row after row, the order the
+/// body lists them in, and whether they make a matrix.
+struct RowsValue {
+  Status verdict = Status::InvalidArgument(kRowsError);
+  size_t rows = 0;
+  size_t width = 0;
+  std::vector<double> values;
 };
 
-Result<PredictBody> ParsePredictBody(const std::string& text) {
-  FAB_ASSIGN_OR_RETURN(JsonValue doc, ParseJson(text));
-  Result<std::string> period = doc.GetString("period");
-  Result<std::string> model = doc.GetString("model");
-  Result<double> window = doc.GetNumber("window");
-  if (!period.ok() || !model.ok() || !window.ok()) {
-    return Status::InvalidArgument(
-        "body requires string \"period\", string \"model\" and number "
-        "\"window\"");
+/// Reads one "rows" value. A grammar error is returned and ends the
+/// parse. A shape error (a ragged row, a non-number feature) only sets
+/// `out->verdict`: a later "rows" member replaces this one, as it would
+/// in a parsed tree, so the rest of the value is still read and checked.
+Status ReadRows(JsonReader* reader, RowsValue* out) {
+  out->verdict = Status::InvalidArgument(kRowsError);
+  out->rows = 0;
+  out->width = 0;
+  out->values.clear();
+  FAB_ASSIGN_OR_RETURN(const JsonValue::Type type, reader->Peek());
+  if (type != JsonValue::Type::kArray) return reader->Skip();
+  FAB_RETURN_IF_ERROR(reader->BeginArray());
+  Status verdict;
+  size_t r = 0;
+  for (;; ++r) {
+    FAB_ASSIGN_OR_RETURN(const bool more_rows, reader->NextElement());
+    if (!more_rows) break;
+    FAB_ASSIGN_OR_RETURN(const JsonValue::Type row_type, reader->Peek());
+    if (row_type != JsonValue::Type::kArray) {
+      if (verdict.ok()) {
+        verdict = Status::InvalidArgument(
+            "every \"rows\" entry must be an array of numbers");
+      }
+      FAB_RETURN_IF_ERROR(reader->Skip());
+      continue;
+    }
+    FAB_RETURN_IF_ERROR(reader->BeginArray());
+    size_t c = 0;
+    bool numbers = true;
+    for (;; ++c) {
+      FAB_ASSIGN_OR_RETURN(const bool more, reader->NextElement());
+      if (!more) break;
+      FAB_ASSIGN_OR_RETURN(const JsonValue::Type value_type, reader->Peek());
+      if (value_type != JsonValue::Type::kNumber) {
+        numbers = false;
+        FAB_RETURN_IF_ERROR(reader->Skip());
+        continue;
+      }
+      FAB_ASSIGN_OR_RETURN(const double value, reader->ReadNumber());
+      if (verdict.ok()) out->values.push_back(value);
+    }
+    if (r == 0) out->width = c;
+    if (verdict.ok() && c != out->width) {
+      verdict = Status::InvalidArgument(
+          "ragged rows: row " + std::to_string(r) + " has " +
+          std::to_string(c) + " features, row 0 has " +
+          std::to_string(out->width));
+    } else if (verdict.ok() && !numbers) {
+      verdict = Status::InvalidArgument("every feature must be a number");
+    }
+  }
+  out->rows = r;
+  if (r != 0) out->verdict = std::move(verdict);
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<PredictBody> ParsePredictBody(std::string_view text) {
+  JsonReader reader(text);
+  FAB_ASSIGN_OR_RETURN(const JsonValue::Type type, reader.Peek());
+  if (type != JsonValue::Type::kObject) {
+    FAB_RETURN_IF_ERROR(reader.Skip());
+    FAB_RETURN_IF_ERROR(reader.Finish());
+    return Status::InvalidArgument(kFieldsError);
+  }
+  // Each field keeps its last member's value, as a parsed tree would.
+  PredictBody body;
+  bool has_period = false;
+  bool has_model = false;
+  bool has_window = false;
+  double window = 0.0;
+  RowsValue rows;
+  FAB_RETURN_IF_ERROR(reader.BeginObject());
+  std::string key;
+  while (true) {
+    FAB_ASSIGN_OR_RETURN(const bool more, reader.NextMember(&key));
+    if (!more) break;
+    if (key == "period") {
+      FAB_RETURN_IF_ERROR(
+          ReadStringField(&reader, &body.key.period, &has_period));
+    } else if (key == "model") {
+      FAB_RETURN_IF_ERROR(
+          ReadStringField(&reader, &body.key.model, &has_model));
+    } else if (key == "window") {
+      FAB_ASSIGN_OR_RETURN(const JsonValue::Type window_type, reader.Peek());
+      has_window = window_type == JsonValue::Type::kNumber;
+      if (has_window) {
+        FAB_ASSIGN_OR_RETURN(window, reader.ReadNumber());
+      } else {
+        FAB_RETURN_IF_ERROR(reader.Skip());
+      }
+    } else if (key == "rows") {
+      FAB_RETURN_IF_ERROR(ReadRows(&reader, &rows));
+    } else {
+      FAB_RETURN_IF_ERROR(reader.Skip());
+    }
+  }
+  FAB_RETURN_IF_ERROR(reader.Finish());
+
+  if (!has_period || !has_model || !has_window) {
+    return Status::InvalidArgument(kFieldsError);
   }
   // Range first: converting an out-of-range double to int is undefined.
-  if (!(*window >= 1.0 &&
-        *window <= static_cast<double>(std::numeric_limits<int>::max()) &&
-        *window == std::floor(*window))) {
+  if (!(window >= 1.0 &&
+        window <= static_cast<double>(std::numeric_limits<int>::max()) &&
+        window == std::floor(window))) {
     return Status::InvalidArgument("\"window\" must be a positive integer");
   }
-  PredictBody body;
-  body.key.period = std::move(*period);
-  body.key.model = std::move(*model);
-  body.key.window = static_cast<int>(*window);
-
-  const JsonValue* rows = doc.Find("rows");
-  if (rows == nullptr || !rows->is_array() || rows->array().empty()) {
-    return Status::InvalidArgument(
-        "body requires a non-empty \"rows\" array of feature arrays");
-  }
-  const std::vector<JsonValue>& list = rows->array();
-  const size_t width =
-      list.front().is_array() ? list.front().array().size() : 0;
-  body.rows = ml::ColMatrix(list.size(), width);
-  for (size_t r = 0; r < list.size(); ++r) {
-    if (!list[r].is_array()) {
-      return Status::InvalidArgument(
-          "every \"rows\" entry must be an array of numbers");
-    }
-    const std::vector<JsonValue>& row = list[r].array();
-    if (row.size() != width) {
-      return Status::InvalidArgument(
-          "ragged rows: row " + std::to_string(r) + " has " +
-          std::to_string(row.size()) + " features, row 0 has " +
-          std::to_string(width));
-    }
-    for (size_t c = 0; c < width; ++c) {
-      if (!row[c].is_number()) {
-        return Status::InvalidArgument("every feature must be a number");
-      }
-      body.rows.set(r, c, row[c].number());
+  body.key.window = static_cast<int>(window);
+  FAB_RETURN_IF_ERROR(rows.verdict);
+  // The body lists the rows one after another; the matrix holds columns.
+  body.rows = ml::ColMatrix(rows.rows, rows.width);
+  for (size_t c = 0; c < rows.width; ++c) {
+    const std::span<double> column = body.rows.mutable_column(c);
+    for (size_t r = 0; r < rows.rows; ++r) {
+      column[r] = rows.values[r * rows.width + c];
     }
   }
   return body;
 }
-
-}  // namespace
 
 int HttpStatusFor(const Status& status) {
   switch (status.code()) {

@@ -3,10 +3,13 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 
+#include "ml/matrix.h"
 #include "net/debugz.h"
 #include "net/http_server.h"
 #include "net/shard_router.h"
+#include "serve/registry.h"
 #include "util/status.h"
 
 namespace fab::net {
@@ -15,6 +18,20 @@ namespace fab::net {
 /// OK→200, InvalidArgument→400, NotFound→404, Unavailable→429,
 /// FailedPrecondition→503, anything else→500.
 int HttpStatusFor(const Status& status);
+
+/// A validated /predict body: the scenario key and its rows as one
+/// matrix.
+struct PredictBody {
+  serve::ModelKey key;
+  ml::ColMatrix rows;
+};
+
+/// Reads a /predict body in one pass of a JsonReader: "period", "model"
+/// and "window" into the key, the numbers of "rows" into the matrix, and
+/// every other member checked and skipped. No JsonValue is built. The
+/// verdict is the one the ParseJson tree would give: the whole body must
+/// be valid JSON, and a repeated key counts only with its last value.
+[[nodiscard]] Result<PredictBody> ParsePredictBody(std::string_view text);
 
 /// The JSON forecast API over a ShardedRouter.
 ///

@@ -257,10 +257,8 @@ void BatchServer::RunBatch(std::vector<Request> batch) {
     size_t offset = 0;
     for (const Request& request : batch) {
       for (size_t c = 0; c < cols; ++c) {
-        const std::vector<double>& column = request.rows.column(c);
-        std::copy(column.begin(), column.end(),
-                  x.mutable_column(c).begin() +
-                      static_cast<std::ptrdiff_t>(offset));
+        std::ranges::copy(request.rows.column(c),
+                          x.mutable_column(c).subspan(offset).begin());
       }
       offset += request.rows.rows();
     }

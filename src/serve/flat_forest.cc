@@ -91,10 +91,10 @@ void FlatForest::PredictRange(const ml::ColMatrix& x, size_t row_begin,
     }
     return;
   }
-  // Hoist the column pointers: the traversal loop then runs entirely on
-  // raw arrays with no vector-of-vectors indirection.
-  std::vector<const double*> cols(x.cols());
-  for (size_t j = 0; j < x.cols(); ++j) cols[j] = x.column(j).data();
+  // The matrix is one column-major buffer: feature f of row r sits at
+  // values[f * stride + r], so the traversal loop runs on raw arrays.
+  const double* values = x.cols() == 0 ? nullptr : x.column(0).data();
+  const size_t stride = x.rows();
   const int32_t* feature = feature_.data();
   const double* threshold = threshold_.data();
   const int32_t* left = left_.data();
@@ -109,7 +109,8 @@ void FlatForest::PredictRange(const ml::ColMatrix& x, size_t row_begin,
       while (f >= 0) {
         // Branch-free child select: right = left + 1.
         id = left[id] + static_cast<int32_t>(
-                            cols[static_cast<size_t>(f)][row] > threshold[id]);
+                            values[static_cast<size_t>(f) * stride + row] >
+                            threshold[id]);
         f = feature[id];
       }
       out[i] += threshold[id];

@@ -17,7 +17,9 @@ namespace fab::obs {
 namespace {
 
 constexpr size_t kDefaultCapacity = 8192;
-constexpr size_t kMaxCapacity = size_t{1} << 22;
+// 2^17 slots of 96 bytes is a 12 MiB ring, zero-filled at static init; a
+// full-mode table5 trace holds ~54k spans.
+constexpr size_t kMaxCapacity = size_t{1} << 17;
 constexpr size_t kMaxPath = 4096;
 
 size_t RoundUpPow2(size_t v) {
@@ -28,7 +30,7 @@ size_t RoundUpPow2(size_t v) {
 
 /// Digits only, like FAB_THREADS and FAB_SEED: a sign, a blank, a suffix
 /// or a value past 2^64-1 (strtoull's ERANGE) reads as unset, so a typo
-/// cannot become a 4M-slot ring in every process.
+/// cannot become a maximal ring in every process.
 size_t CapacityFromEnv() {
   const char* env = std::getenv("FAB_FLIGHT_SPANS");
   if (env == nullptr || !IsDecimalDigits(env)) return kDefaultCapacity;

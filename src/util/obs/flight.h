@@ -17,7 +17,7 @@
 ///
 /// Knobs (read once at process start):
 ///   FAB_FLIGHT_SPANS  ring capacity, rounded up to a power of two and
-///                     capped at 2^22 (default 8192; 0 disables recording
+///                     capped at 2^17 (default 8192; 0 disables recording
 ///                     entirely; anything but decimal digits, or a value
 ///                     past 2^64-1, reads as unset)
 ///   FAB_TRACE         export path: the ring is written there as Chrome

@@ -11,7 +11,7 @@ namespace {
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 }  // namespace
 
-double Mean(const std::vector<double>& v) {
+double Mean(std::span<const double> v) {
   if (v.empty()) return kNaN;
   double sum = 0.0;
   for (double x : v) sum += x;
@@ -45,8 +45,8 @@ double Covariance(const std::vector<double>& x, const std::vector<double>& y) {
   return acc / static_cast<double>(x.size() - 1);
 }
 
-double PearsonCorrelation(const std::vector<double>& x,
-                          const std::vector<double>& y) {
+double PearsonCorrelation(std::span<const double> x,
+                          std::span<const double> y) {
   if (x.size() != y.size() || x.size() < 2) return kNaN;
   const double mx = Mean(x);
   const double my = Mean(y);

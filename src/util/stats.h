@@ -2,12 +2,13 @@
 #define FAB_UTIL_STATS_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace fab::stats {
 
 /// Arithmetic mean. Returns NaN for an empty span.
-double Mean(const std::vector<double>& v);
+double Mean(std::span<const double> v);
 
 /// Unbiased sample variance (n-1 denominator). Returns NaN for n < 2.
 double Variance(const std::vector<double>& v);
@@ -23,9 +24,10 @@ double StdDev(const std::vector<double>& v);
 double Covariance(const std::vector<double>& x, const std::vector<double>& y);
 
 /// Pearson correlation coefficient in [-1, 1]. Returns 0 when either input
-/// is (numerically) constant, NaN on length mismatch or n < 2.
-double PearsonCorrelation(const std::vector<double>& x,
-                          const std::vector<double>& y);
+/// is (numerically) constant, NaN on length mismatch or n < 2. Spans, so
+/// a matrix column is read in place.
+double PearsonCorrelation(std::span<const double> x,
+                          std::span<const double> y);
 
 /// Spearman rank correlation (Pearson over midranks).
 double SpearmanCorrelation(const std::vector<double>& x,

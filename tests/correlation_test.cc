@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "util/random.h"
 
 namespace fab::explain {
@@ -35,13 +37,22 @@ TEST(CorrelationTest, SignedCorrelationsMatchConstruction) {
 
 TEST(CorrelationTest, AbsCorrelationsAreNonNegative) {
   const ml::Dataset d = MakeDataset();
-  const std::vector<double> corr = AbsFeatureTargetCorrelations(d);
+  const std::vector<double> corr = AbsFeatureTargetCorrelations(d, {0, 1, 2});
   for (double c : corr) {
     EXPECT_GE(c, 0.0);
     EXPECT_LE(c, 1.0);
   }
   EXPECT_GT(corr[0], 0.5);
   EXPECT_GT(corr[1], 0.5);
+}
+
+TEST(CorrelationTest, AbsCorrelationsFollowTheListedFeatures) {
+  const ml::Dataset d = MakeDataset();
+  const std::vector<double> all = FeatureTargetCorrelations(d);
+  const std::vector<double> some = AbsFeatureTargetCorrelations(d, {2, 1});
+  ASSERT_EQ(some.size(), 2u);
+  EXPECT_EQ(some[0], std::fabs(all[2]));
+  EXPECT_EQ(some[1], std::fabs(all[1]));
 }
 
 TEST(CorrelationTest, ConstantFeatureIsZero) {

@@ -229,7 +229,7 @@ TEST_F(DatasetBuilderTest, OutageStressedMarketBuildsFiniteDataset) {
       BuildScenarioDataset(*stressed, StudyPeriod::k2019, 7, options);
   ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
   for (size_t c = 0; c < scenario->data.num_features(); ++c) {
-    const std::vector<double>& col = scenario->data.x.column(c);
+    const std::span<const double> col = scenario->data.x.column(c);
     for (size_t r = 0; r < col.size(); ++r) {
       ASSERT_TRUE(std::isfinite(col[r]))
           << scenario->data.feature_names[c] << " row " << r;

@@ -1,17 +1,26 @@
-// Deterministic mini-fuzz for the two byte-level parsers the serving
-// front-end exposes to untrusted input: net::ParseJson and the HTTP/1.1
-// HttpParser. Every case is Rng-driven from fixed seeds — a failure
-// reproduces exactly — and iteration counts are bounded so the test
-// stays in the quick tier. The asan/tsan twins run the same cases under
-// sanitizers, which is where memory bugs would actually surface.
+// Deterministic mini-fuzz for the byte-level parsers the serving
+// front-end exposes to untrusted input: net::ParseJson, the /predict
+// body reader (net::ParsePredictBody) and the HTTP/1.1 HttpParser. Every
+// case is Rng-driven from fixed seeds — a failure reproduces exactly —
+// and iteration counts are bounded so the test stays in the quick tier.
+// The asan/tsan twins run the same cases under sanitizers, which is
+// where memory bugs would actually surface.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cerrno>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstdlib>
+#include <limits>
+#include <map>
 #include <string>
 #include <vector>
 
+#include "net/forecast_service.h"
 #include "net/http.h"
 #include "net/json.h"
 #include "util/random.h"
@@ -130,6 +139,344 @@ TEST(NetFuzzTest, JsonTruncationsOfValidDocsFailCleanly) {
       auto parsed = ParseJson(doc.substr(0, cut));
       if (parsed.ok()) CountNodes(*parsed);  // e.g. "3.14" cut to "3"
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// /predict bodies
+//
+// ParsePredictBody reads a body in one pass and builds no tree. Its
+// reference is the route it replaced: the recursive-descent strtod parser
+// that ParseJson was, copied here, and the fields pulled out of its tree.
+// The two must agree on every body, in verdict and bit for bit in the
+// matrix, except where the number grammar changed on purpose: a leading
+// '+' and a magnitude that underflows to zero are now rejected. The
+// reference applies those two rules too, each marked below.
+
+struct RefValue {
+  enum Kind { kNull, kBool, kNumber, kString, kArray, kObject };
+  Kind kind = kNull;
+  double number = 0.0;
+  std::string str;
+  std::vector<RefValue> items;
+  std::map<std::string, RefValue> members;  // a repeated key: last wins
+};
+
+class RefParser {
+ public:
+  explicit RefParser(const std::string& text) : text_(text) {}
+
+  bool Parse(RefValue* out) {
+    if (!Value(0, out)) return false;
+    SkipWhitespace();
+    return pos_ == text_.size();
+  }
+
+ private:
+  void SkipWhitespace() {
+    while (pos_ < text_.size() &&
+           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
+            text_[pos_] == '\n' || text_[pos_] == '\r')) {
+      ++pos_;
+    }
+  }
+  bool Consume(char c) {
+    if (pos_ < text_.size() && text_[pos_] == c) {
+      ++pos_;
+      return true;
+    }
+    return false;
+  }
+  bool Literal(const char* lit) {
+    const size_t n = std::char_traits<char>::length(lit);
+    if (text_.compare(pos_, n, lit) != 0) return false;
+    pos_ += n;
+    return true;
+  }
+
+  bool Value(int depth, RefValue* v) {
+    if (depth > 64) return false;
+    SkipWhitespace();
+    if (pos_ >= text_.size()) return false;
+    switch (text_[pos_]) {
+      case '{': {
+        ++pos_;
+        v->kind = RefValue::kObject;
+        SkipWhitespace();
+        if (Consume('}')) return true;
+        while (true) {
+          SkipWhitespace();
+          std::string key;
+          if (pos_ >= text_.size() || text_[pos_] != '"' || !String(&key)) {
+            return false;
+          }
+          SkipWhitespace();
+          if (!Consume(':')) return false;
+          RefValue member;
+          if (!Value(depth + 1, &member)) return false;
+          v->members[key] = std::move(member);
+          SkipWhitespace();
+          if (Consume(',')) continue;
+          return Consume('}');
+        }
+      }
+      case '[': {
+        ++pos_;
+        v->kind = RefValue::kArray;
+        SkipWhitespace();
+        if (Consume(']')) return true;
+        while (true) {
+          v->items.emplace_back();
+          if (!Value(depth + 1, &v->items.back())) return false;
+          SkipWhitespace();
+          if (Consume(',')) continue;
+          return Consume(']');
+        }
+      }
+      case '"':
+        v->kind = RefValue::kString;
+        return String(&v->str);
+      case 't':
+      case 'f':
+        v->kind = RefValue::kBool;
+        return Literal("true") || Literal("false");
+      case 'n':
+        return Literal("null");
+      default:
+        v->kind = RefValue::kNumber;
+        return Number(&v->number);
+    }
+  }
+
+  bool String(std::string* out) {
+    ++pos_;  // the opening quote
+    while (true) {
+      if (pos_ >= text_.size()) return false;
+      const char c = text_[pos_++];
+      if (c == '"') return true;
+      if (static_cast<unsigned char>(c) < 0x20) return false;
+      if (c != '\\') {
+        out->push_back(c);
+        continue;
+      }
+      if (pos_ >= text_.size()) return false;
+      const char esc = text_[pos_++];
+      switch (esc) {
+        case '"': out->push_back('"'); break;
+        case '\\': out->push_back('\\'); break;
+        case '/': out->push_back('/'); break;
+        case 'b': out->push_back('\b'); break;
+        case 'f': out->push_back('\f'); break;
+        case 'n': out->push_back('\n'); break;
+        case 'r': out->push_back('\r'); break;
+        case 't': out->push_back('\t'); break;
+        case 'u': {
+          if (pos_ + 4 > text_.size()) return false;
+          unsigned code = 0;
+          for (int i = 0; i < 4; ++i) {
+            const char h = text_[pos_++];
+            code <<= 4;
+            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
+            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
+            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
+            else return false;
+          }
+          if (code >= 0xD800 && code <= 0xDFFF) return false;
+          if (code < 0x80) {
+            out->push_back(static_cast<char>(code));
+          } else if (code < 0x800) {
+            out->push_back(static_cast<char>(0xC0 | (code >> 6)));
+            out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+          } else {
+            out->push_back(static_cast<char>(0xE0 | (code >> 12)));
+            out->push_back(static_cast<char>(0x80 | ((code >> 6) & 0x3F)));
+            out->push_back(static_cast<char>(0x80 | (code & 0x3F)));
+          }
+          break;
+        }
+        default:
+          return false;
+      }
+    }
+  }
+
+  bool Number(double* out) {
+    const size_t start = pos_;
+    Consume('-');
+    while (pos_ < text_.size() &&
+           ((text_[pos_] >= '0' && text_[pos_] <= '9') || text_[pos_] == '.' ||
+            text_[pos_] == 'e' || text_[pos_] == 'E' || text_[pos_] == '+' ||
+            text_[pos_] == '-')) {
+      ++pos_;
+    }
+    if (pos_ == start) return false;
+    const std::string token = text_.substr(start, pos_ - start);
+    // Changed on purpose: RFC 8259 has no leading '+'.
+    if (token[0] == '+') return false;
+    char* end = nullptr;
+    errno = 0;
+    *out = std::strtod(token.c_str(), &end);
+    if (*end != '\0' || end == token.c_str()) return false;
+    // Changed on purpose: an underflow to zero is out of range, like an
+    // overflow to infinity.
+    if (errno == ERANGE && *out == 0.0) return false;
+    return std::isfinite(*out);
+  }
+
+  const std::string& text_;
+  size_t pos_ = 0;
+};
+
+/// The reference verdict: a RefParser tree, then the fields and rows
+/// pulled out of it, in the order the tree route checked them.
+bool ReferencePredictBody(const std::string& text, PredictBody* out) {
+  RefValue doc;
+  if (!RefParser(text).Parse(&doc) || doc.kind != RefValue::kObject) {
+    return false;
+  }
+  auto find = [&](const char* key, RefValue::Kind kind) -> const RefValue* {
+    auto it = doc.members.find(key);
+    return it == doc.members.end() || it->second.kind != kind ? nullptr
+                                                              : &it->second;
+  };
+  const RefValue* period = find("period", RefValue::kString);
+  const RefValue* model = find("model", RefValue::kString);
+  const RefValue* window = find("window", RefValue::kNumber);
+  if (period == nullptr || model == nullptr || window == nullptr) return false;
+  const double w = window->number;
+  if (!(w >= 1.0 && w <= static_cast<double>(std::numeric_limits<int>::max()) &&
+        w == std::floor(w))) {
+    return false;
+  }
+  out->key.period = period->str;
+  out->key.model = model->str;
+  out->key.window = static_cast<int>(w);
+  const RefValue* rows = find("rows", RefValue::kArray);
+  if (rows == nullptr || rows->items.empty()) return false;
+  const std::vector<RefValue>& list = rows->items;
+  const size_t width =
+      list.front().kind == RefValue::kArray ? list.front().items.size() : 0;
+  out->rows = ml::ColMatrix(list.size(), width);
+  for (size_t r = 0; r < list.size(); ++r) {
+    if (list[r].kind != RefValue::kArray || list[r].items.size() != width) {
+      return false;
+    }
+    for (size_t c = 0; c < width; ++c) {
+      if (list[r].items[c].kind != RefValue::kNumber) return false;
+      out->rows.set(r, c, list[r].items[c].number);
+    }
+  }
+  return true;
+}
+
+/// Counts the bodies the reference accepted, so a fuzz loop can show it
+/// reached the accepting paths and not only the error ones.
+size_t ExpectMatchesReference(const std::string& body) {
+  PredictBody want;
+  const bool accepted = ReferencePredictBody(body, &want);
+  Result<PredictBody> got = ParsePredictBody(body);
+  EXPECT_EQ(got.ok(), accepted)
+      << body << "\n  reader: "
+      << (got.ok() ? "accepted" : got.status().ToString());
+  if (!got.ok() || !accepted) return 0;
+  EXPECT_EQ(got->key.period, want.key.period) << body;
+  EXPECT_EQ(got->key.model, want.key.model) << body;
+  EXPECT_EQ(got->key.window, want.key.window) << body;
+  EXPECT_EQ(got->rows.rows(), want.rows.rows()) << body;
+  EXPECT_EQ(got->rows.cols(), want.rows.cols()) << body;
+  if (got->rows.rows() != want.rows.rows() ||
+      got->rows.cols() != want.rows.cols()) {
+    return 1;
+  }
+  for (size_t c = 0; c < want.rows.cols(); ++c) {
+    for (size_t r = 0; r < want.rows.rows(); ++r) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(got->rows.at(r, c)),
+                std::bit_cast<uint64_t>(want.rows.at(r, c)))
+          << body << " at (" << r << ", " << c << ")";
+    }
+  }
+  return 1;
+}
+
+const std::vector<std::string>& PredictCorpus() {
+  static const std::vector<std::string> kCorpus = {
+      R"({"period":"2017","window":7,"model":"rf","rows":[[1.5,-2e3,0.0]]})",
+      R"({"rows":[[0.1,4.9e-324,-0],[2.2250738585072011e-308,1E+2,-7.25]],)"
+      R"("model":"xgb","window":21.0,"period":"2019"})",
+      // Repeated keys: the last one counts, whatever the earlier held.
+      R"({"period":"2017","window":7,"model":"rf","rows":[[1,2]],)"
+      R"("rows":[[3,4],[5,6]]})",
+      R"({"period":"2017","window":7,"model":"rf","rows":[[1],[2,3]],)"
+      R"("rows":[[9]]})",
+      R"({"period":"2017","window":7,"model":"rf","rows":[[9]],)"
+      R"("rows":[[1],[2,3]]})",
+      R"({"period":7,"period":"2017","window":"7","window":7,"model":"rf",)"
+      R"("rows":[[1]]})",
+      // Members the reader only checks and skips.
+      R"( {"extra":{"deep":[true,null,"x\"y\\z\né"]},"period":"2019",)"
+      R"("model":"mlp","window":1,"rows":[[-0.000001, 123456789012345]]} )",
+      // Shapes the matrix refuses.
+      R"({"period":"2017","window":7,"model":"rf","rows":[]})",
+      R"({"period":"2017","window":7,"model":"rf","rows":[[]]})",
+      R"({"period":"2017","window":7,"model":"rf","rows":[[],[]]})",
+      R"({"period":"2017","window":7,"model":"rf","rows":[1,[2]]})",
+      R"({"period":"2017","window":7,"model":"rf","rows":[[1,"2"]]})",
+      R"({"period":"2017","window":7,"model":"rf","rows":{"0":[1]}})",
+      R"({"period":"2017","window":7.5,"model":"rf","rows":[[1]]})",
+      R"({"period":"2017","window":0,"model":"rf","rows":[[1]]})",
+      R"({"period":"2017","model":"rf","rows":[[1]]})",
+      R"([{"period":"2017","window":7,"model":"rf","rows":[[1]]}])",
+      // The two grammar changes.
+      R"({"period":"2017","window":7,"model":"rf","rows":[[+1]]})",
+      R"({"period":"2017","window":7,"model":"rf","rows":[[1e-400]]})",
+  };
+  return kCorpus;
+}
+
+TEST(NetFuzzTest, PredictCorpusMatchesTheTreeReference) {
+  size_t accepted = 0;
+  for (const std::string& body : PredictCorpus()) {
+    accepted += ExpectMatchesReference(body);
+  }
+  // Eight make a matrix: the two [[]] bodies give 0-column ones, which
+  // the parser passes on for the model to refuse.
+  EXPECT_EQ(accepted, 8u);
+}
+
+TEST(NetFuzzTest, PredictMutationsMatchTheTreeReference) {
+  Rng rng(0x9E0Du);
+  size_t accepted = 0;
+  for (int iter = 0; iter < 3000; ++iter) {
+    const std::string& base =
+        PredictCorpus()[rng.UniformInt(PredictCorpus().size())];
+    accepted += ExpectMatchesReference(Mutate(base, &rng));
+  }
+  EXPECT_GT(accepted, 0u);
+}
+
+TEST(NetFuzzTest, PredictSplitsMatchTheTreeReference) {
+  // Each body cut at every byte, and its two halves joined the other way
+  // round.
+  for (const std::string& body : PredictCorpus()) {
+    for (size_t cut = 0; cut <= body.size(); ++cut) {
+      ExpectMatchesReference(body.substr(0, cut));
+      ExpectMatchesReference(body.substr(cut) + body.substr(0, cut));
+    }
+  }
+}
+
+TEST(NetFuzzTest, PredictGarbageMatchesTheTreeReference) {
+  Rng rng(0x6A4Bu);
+  // Raw bytes, then bytes drawn from the JSON alphabet so that more of
+  // them get past the first token.
+  const std::string alphabet = "{}[],:\"\\ 0123456789.eE+-tfnul";
+  for (int iter = 0; iter < 800; ++iter) {
+    std::string garbage(rng.UniformInt(120), '\0');
+    for (char& c : garbage) {
+      c = iter % 2 == 0 ? static_cast<char>(rng.UniformInt(256))
+                        : alphabet[rng.UniformInt(alphabet.size())];
+    }
+    ExpectMatchesReference(garbage);
   }
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdlib>
 #include <string>
 
 namespace fab::net {
@@ -66,8 +70,10 @@ TEST(NetJsonTest, RejectsMalformedInput) {
 }
 
 TEST(NetJsonTest, RejectsNumbersOutOfDoubleRange) {
-  // strtod saturates these to +-inf; a forecast must never see one.
-  for (const char* bad : {"1e999", "-1e999", "[0.5,1e400]"}) {
+  // strtod saturates the first three to +-inf and flushes the last two
+  // to +-0; a forecast must never see either.
+  for (const char* bad :
+       {"1e999", "-1e999", "[0.5,1e400]", "1e-400", "-1e-400"}) {
     Result<JsonValue> parsed = ParseJson(bad);
     ASSERT_FALSE(parsed.ok()) << bad;
     EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
@@ -78,6 +84,76 @@ TEST(NetJsonTest, RejectsNumbersOutOfDoubleRange) {
   // The largest finite double still parses.
   EXPECT_DOUBLE_EQ(ParseJson("1.7976931348623157e308")->number(),
                    1.7976931348623157e308);
+}
+
+TEST(NetJsonTest, RejectsALeadingPlus) {
+  // RFC 8259 numbers have no '+' sign; strtod accepted one.
+  for (const char* bad : {"+1", "[+1]", "{\"a\":+0.5}"}) {
+    Result<JsonValue> parsed = ParseJson(bad);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_NE(parsed.status().message().find("malformed number"),
+              std::string::npos)
+        << parsed.status().message();
+  }
+  // An exponent keeps its sign.
+  EXPECT_DOUBLE_EQ(ParseJson("1e+2")->number(), 100.0);
+}
+
+TEST(NetJsonTest, NumbersParseToStrtodBits) {
+  // Correctly rounded like strtod, subnormals and a 30-digit integer
+  // included: a forecast reads exactly the double the client sent.
+  for (const char* token :
+       {"0.1", "4.9e-324", "2.2250738585072011e-308",
+        "123456789012345678901234567890", "-0", "0", "-0.0",
+        "1.7976931348623157e308", "-1.25e-7", "3.141592653589793",
+        "0.000001", "2.5E3"}) {
+    Result<JsonValue> parsed = ParseJson(token);
+    ASSERT_TRUE(parsed.ok()) << token << ": " << parsed.status().ToString();
+    EXPECT_EQ(std::bit_cast<uint64_t>(parsed->number()),
+              std::bit_cast<uint64_t>(std::strtod(token, nullptr)))
+        << token;
+  }
+  EXPECT_TRUE(std::signbit(ParseJson("-0")->number()));
+  EXPECT_FALSE(std::signbit(ParseJson("0")->number()));
+}
+
+TEST(NetJsonTest, ReaderWalksADocumentValueByValue) {
+  JsonReader reader(R"({"a": [1, "x", {"b": null}], "c": true})");
+  ASSERT_TRUE(reader.BeginObject().ok());
+  std::string key;
+  ASSERT_TRUE(*reader.NextMember(&key));
+  EXPECT_EQ(key, "a");
+  ASSERT_EQ(*reader.Peek(), JsonValue::Type::kArray);
+  ASSERT_TRUE(reader.BeginArray().ok());
+  ASSERT_TRUE(*reader.NextElement());
+  EXPECT_DOUBLE_EQ(*reader.ReadNumber(), 1.0);
+  ASSERT_TRUE(*reader.NextElement());
+  std::string x;
+  ASSERT_TRUE(reader.ReadString(&x).ok());
+  EXPECT_EQ(x, "x");
+  ASSERT_TRUE(*reader.NextElement());
+  EXPECT_TRUE(reader.Skip().ok());  // the whole {"b": null}
+  EXPECT_FALSE(*reader.NextElement());
+  ASSERT_TRUE(*reader.NextMember(&key));
+  EXPECT_EQ(key, "c");
+  EXPECT_TRUE(*reader.ReadBool());
+  EXPECT_FALSE(*reader.NextMember(&key));
+  EXPECT_TRUE(reader.Finish().ok());
+}
+
+TEST(NetJsonTest, ReaderRejectsAValueOfTheWrongType) {
+  JsonReader reader("[\"1\"]");
+  ASSERT_TRUE(reader.BeginArray().ok());
+  ASSERT_TRUE(*reader.NextElement());
+  EXPECT_FALSE(reader.ReadNumber().ok());
+  EXPECT_FALSE(JsonReader("{}").BeginArray().ok());
+  EXPECT_FALSE(JsonReader("1").ReadNull().ok());
+  // Separators are the reader's to check.
+  JsonReader missing_comma("[1 2]");
+  ASSERT_TRUE(missing_comma.BeginArray().ok());
+  ASSERT_TRUE(*missing_comma.NextElement());
+  ASSERT_TRUE(missing_comma.ReadNumber().ok());
+  EXPECT_FALSE(missing_comma.NextElement().ok());
 }
 
 TEST(NetJsonTest, BoundsNestingDepth) {

@@ -277,7 +277,7 @@ TEST(FlightRecorderTest, CapacityEnvAcceptsDecimalDigitsOnly) {
   } cases[] = {
       {nullptr, 8192},
       {"", 8192},
-      // Malformed or out of range: the default, not a 4M-slot ring.
+      // Malformed or out of range: the default, not a maximal ring.
       {"-1", 8192},
       {"99999999999999999999", 8192},
       {"+8", 8192},
@@ -285,8 +285,9 @@ TEST(FlightRecorderTest, CapacityEnvAcceptsDecimalDigitsOnly) {
       {"8x", 8192},
       {"0", 0},
       {"100", 128},
-      // A valid value above the cap still clamps to 2^22.
-      {"4194305", 4194304},
+      // A valid value above the cap still clamps to 2^17.
+      {"131073", 131072},
+      {"4194305", 131072},
   };
   for (const auto& c : cases) {
     EXPECT_EQ(ChildFlightCapacity(c.value), c.capacity)

@@ -29,10 +29,24 @@
 namespace fab::obs {
 namespace {
 
-std::string TempTracePath(const char* tag) {
-  return ::testing::TempDir() + "/fab_obs_trace_" + tag + "_" +
-         std::to_string(::getpid()) + ".json";
-}
+/// An export path under the test temp dir, removed when the test that
+/// made it ends.
+class TempTrace {
+ public:
+  explicit TempTrace(const char* tag)
+      : path_(::testing::TempDir() + "/fab_obs_trace_" + tag + "_" +
+              std::to_string(::getpid()) + ".json") {
+    std::remove(path_.c_str());
+  }
+  ~TempTrace() { std::remove(path_.c_str()); }
+  TempTrace(const TempTrace&) = delete;
+  TempTrace& operator=(const TempTrace&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  const std::string path_;
+};
 
 std::string ReadFile(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -117,7 +131,8 @@ TEST(ObsTraceTest, SpansNestByContainmentUnderConcurrentPoolLoad) {
     }
   });
 
-  const std::string path = TempTracePath("nesting");
+  const TempTrace trace("nesting");
+  const std::string& path = trace.path();
   ASSERT_TRUE(WriteTrace(path).ok());
   const std::string json = ReadFile(path);
   ASSERT_FALSE(json.empty());
@@ -170,7 +185,8 @@ TEST(ObsTraceTest, BeginArgsAndAddArgLandOnTheSpansOneEvent) {
     span.AddArg("removed", 3);
     span.AddArg("dropped", 4);  // a fourth arg has no slot
   }
-  const std::string path = TempTracePath("args");
+  const TempTrace trace("args");
+  const std::string& path = trace.path();
   ASSERT_TRUE(WriteTrace(path).ok());
   size_t seen = 0;
   for (const ParsedEvent& event : ParseEvents(ReadFile(path))) {
@@ -194,7 +210,8 @@ TEST(ObsTraceTest, ExportIsStructurallyBalancedJson) {
   {
     FAB_TRACE_SCOPE("test/struct", {{"n", 1}});
   }
-  const std::string path = TempTracePath("struct");
+  const TempTrace trace("struct");
+  const std::string& path = trace.path();
   ASSERT_TRUE(WriteTrace(path).ok());
   const std::string json = ReadFile(path);
   // Structural smoke check (ParsesAsJson and CI run a real parser):
@@ -234,8 +251,8 @@ TEST(ObsTraceProbe, DISABLED_Records40Spans) {
 }
 
 TEST(ObsTraceTest, ExitExportOfAFullRingReportsOverwrittenSpans) {
-  const std::string path = TempTracePath("exit");
-  std::remove(path.c_str());
+  const TempTrace trace("exit");
+  const std::string& path = trace.path();
   const std::string self =
       std::filesystem::read_symlink("/proc/self/exe").string();
   const std::string cmd =

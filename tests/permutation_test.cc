@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ml/forest.h"
 #include "ml/gbdt.h"
 #include "util/random.h"
@@ -65,11 +67,12 @@ TEST_F(PermutationTest, DeterministicInSeed) {
 }
 
 TEST_F(PermutationTest, LeavesInputUntouched) {
-  const std::vector<double> before = valid_.x.column(0);
+  const std::span<const double> column = valid_.x.column(0);
+  const std::vector<double> before(column.begin(), column.end());
   PermutationOptions options;
   options.n_repeats = 1;
   ASSERT_TRUE(PermutationImportance(*model_, valid_, options).ok());
-  EXPECT_EQ(valid_.x.column(0), before);
+  EXPECT_TRUE(std::ranges::equal(valid_.x.column(0), before));
 }
 
 TEST_F(PermutationTest, RejectsBadOptions) {
@@ -119,7 +122,9 @@ class Forwarding : public ml::Regressor {
 ml::Dataset WithUnsplitColumns(ml::Dataset d, bool training, uint64_t seed) {
   Rng rng(seed);
   std::vector<std::vector<double>> cols;
-  for (size_t j = 0; j < d.num_features(); ++j) cols.push_back(d.x.column(j));
+  for (size_t j = 0; j < d.num_features(); ++j) {
+    cols.emplace_back(d.x.column(j).begin(), d.x.column(j).end());
+  }
   cols.emplace_back(d.num_rows(), 1.5);
   std::vector<double> unsplit(d.num_rows(), 0.0);
   if (!training) {

@@ -35,12 +35,21 @@ std::vector<double> MakeTarget(const ml::ColMatrix& x, uint64_t seed) {
   return y;
 }
 
-std::string TempDir() {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("fab_snapshot_test_" + std::to_string(::getpid()));
-  std::filesystem::create_directories(dir);
-  return dir.string();
+std::filesystem::path TempDirPath() {
+  return std::filesystem::temp_directory_path() /
+         ("fab_snapshot_test_" + std::to_string(::getpid()));
 }
+
+std::string TempDir() {
+  std::filesystem::create_directories(TempDirPath());
+  return TempDirPath().string();
+}
+
+/// Each test removes TempDir() when it ends.
+class SnapshotTest : public ::testing::Test {
+ protected:
+  void TearDown() override { std::filesystem::remove_all(TempDirPath()); }
+};
 
 /// Round-trips `model` through the codec and asserts bitwise-identical
 /// predictions on a held-out matrix.
@@ -64,7 +73,7 @@ void ExpectExactRoundTrip(const ml::Regressor& model,
   }
 }
 
-TEST(SnapshotTest, RandomForestRoundTripIsBitwiseExact) {
+TEST_F(SnapshotTest, RandomForestRoundTripIsBitwiseExact) {
   const ml::ColMatrix train = MakeMatrix(300, 8, 1);
   const ml::ColMatrix held_out = MakeMatrix(64, 8, 2);
   ml::ForestParams params;
@@ -75,7 +84,7 @@ TEST(SnapshotTest, RandomForestRoundTripIsBitwiseExact) {
   ExpectExactRoundTrip(rf, held_out, TempDir() + "/rf.fabsnap");
 }
 
-TEST(SnapshotTest, GbdtRoundTripIsBitwiseExact) {
+TEST_F(SnapshotTest, GbdtRoundTripIsBitwiseExact) {
   const ml::ColMatrix train = MakeMatrix(300, 8, 4);
   const ml::ColMatrix held_out = MakeMatrix(64, 8, 5);
   ml::GbdtParams params;
@@ -86,7 +95,7 @@ TEST(SnapshotTest, GbdtRoundTripIsBitwiseExact) {
   ExpectExactRoundTrip(gbdt, held_out, TempDir() + "/xgb.fabsnap");
 }
 
-TEST(SnapshotTest, MlpRoundTripIsBitwiseExact) {
+TEST_F(SnapshotTest, MlpRoundTripIsBitwiseExact) {
   const ml::ColMatrix train = MakeMatrix(200, 6, 7);
   const ml::ColMatrix held_out = MakeMatrix(64, 6, 8);
   ml::MlpParams params;
@@ -97,7 +106,7 @@ TEST(SnapshotTest, MlpRoundTripIsBitwiseExact) {
   ExpectExactRoundTrip(mlp, held_out, TempDir() + "/mlp.fabsnap");
 }
 
-TEST(SnapshotTest, RoundTripPreservesHyperparameters) {
+TEST_F(SnapshotTest, RoundTripPreservesHyperparameters) {
   const ml::ColMatrix train = MakeMatrix(120, 4, 10);
   ml::GbdtParams params;
   params.n_rounds = 10;
@@ -120,7 +129,7 @@ TEST(SnapshotTest, RoundTripPreservesHyperparameters) {
   EXPECT_EQ(loaded->num_features(), 4u);
 }
 
-TEST(SnapshotTest, RejectsCorruptedHeader) {
+TEST_F(SnapshotTest, RejectsCorruptedHeader) {
   const ml::ColMatrix train = MakeMatrix(120, 4, 12);
   ml::ForestParams params;
   params.n_trees = 5;
@@ -166,7 +175,7 @@ Result<std::string> EncodeOneTree(std::vector<ml::TreeNode> nodes) {
       ml::ForestParams{}, std::move(trees), /*num_features=*/1));
 }
 
-TEST(SnapshotTest, RejectsNodeListsThatAreNotTrees) {
+TEST_F(SnapshotTest, RejectsNodeListsThatAreNotTrees) {
   // Every child index below is in range; the shapes are what is wrong.
   // A self-loop or back-edge would never let traversal end, and a child
   // shared by two parents is copied once per path when flattened, so
@@ -192,7 +201,7 @@ TEST(SnapshotTest, RejectsNodeListsThatAreNotTrees) {
   }
 }
 
-TEST(SnapshotTest, RejectsNonFiniteNodeValues) {
+TEST_F(SnapshotTest, RejectsNonFiniteNodeValues) {
   // A NaN threshold sends every row right, and a non-finite value or cover
   // reaches forecasts and SHAP weights; none comes out of a fit.
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -224,7 +233,7 @@ TEST(SnapshotTest, RejectsNonFiniteNodeValues) {
   }
 }
 
-TEST(SnapshotTest, DecodesInfiniteThresholds) {
+TEST_F(SnapshotTest, DecodesInfiniteThresholds) {
   // A split on data holding -inf can have -inf as its threshold.
   ml::TreeNode root;
   root.feature = 0;
@@ -246,7 +255,7 @@ TEST(SnapshotTest, DecodesInfiniteThresholds) {
   EXPECT_EQ((*decoded)->PredictOne(*x, 1), 2.0);
 }
 
-TEST(SnapshotTest, ProbeReportsKind) {
+TEST_F(SnapshotTest, ProbeReportsKind) {
   const ml::ColMatrix train = MakeMatrix(120, 4, 14);
   ml::ForestParams params;
   params.n_trees = 3;

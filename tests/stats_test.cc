@@ -9,9 +9,13 @@
 namespace fab::stats {
 namespace {
 
+// Mean and PearsonCorrelation take spans, which a braced list cannot
+// initialize.
+using V = std::vector<double>;
+
 TEST(StatsTest, MeanOfKnownValues) {
-  EXPECT_DOUBLE_EQ(Mean({1, 2, 3, 4}), 2.5);
-  EXPECT_DOUBLE_EQ(Mean({-5}), -5.0);
+  EXPECT_DOUBLE_EQ(Mean(V{1, 2, 3, 4}), 2.5);
+  EXPECT_DOUBLE_EQ(Mean(V{-5}), -5.0);
   EXPECT_TRUE(std::isnan(Mean({})));
 }
 
@@ -33,13 +37,13 @@ TEST(StatsTest, CovarianceOfKnownValues) {
 }
 
 TEST(StatsTest, PearsonPerfectCorrelation) {
-  EXPECT_NEAR(PearsonCorrelation({1, 2, 3, 4}, {10, 20, 30, 40}), 1.0, 1e-12);
-  EXPECT_NEAR(PearsonCorrelation({1, 2, 3, 4}, {8, 6, 4, 2}), -1.0, 1e-12);
+  EXPECT_NEAR(PearsonCorrelation(V{1, 2, 3, 4}, V{10, 20, 30, 40}), 1.0, 1e-12);
+  EXPECT_NEAR(PearsonCorrelation(V{1, 2, 3, 4}, V{8, 6, 4, 2}), -1.0, 1e-12);
 }
 
 TEST(StatsTest, PearsonConstantInputIsZero) {
-  EXPECT_DOUBLE_EQ(PearsonCorrelation({1, 1, 1}, {1, 2, 3}), 0.0);
-  EXPECT_DOUBLE_EQ(PearsonCorrelation({1, 2, 3}, {5, 5, 5}), 0.0);
+  EXPECT_DOUBLE_EQ(PearsonCorrelation(V{1, 1, 1}, V{1, 2, 3}), 0.0);
+  EXPECT_DOUBLE_EQ(PearsonCorrelation(V{1, 2, 3}, V{5, 5, 5}), 0.0);
 }
 
 TEST(StatsTest, PearsonIsSymmetricAndBounded) {
