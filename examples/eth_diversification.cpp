@@ -46,9 +46,8 @@ int main() {
   core::AsciiTable table(
       {"window", "without ETH (MSE)", "with ETH (MSE)", "change"});
   for (int window : {7, 30, 90}) {
-    core::ScenarioOptions options;
     auto scenario = core::BuildScenarioDataset(
-        *market, core::StudyPeriod::k2019, window, options);
+        *market, core::StudyPeriod::k2019, window);
     if (!scenario.ok()) {
       std::fprintf(stderr, "scenario failed: %s\n",
                    scenario.status().ToString().c_str());

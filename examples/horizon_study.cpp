@@ -35,9 +35,8 @@ int main() {
   core::AsciiTable table({"window", "diverse RMSE", "technical-only RMSE",
                           "diversity advantage"});
   for (int window : {1, 7, 30, 90, 180}) {
-    core::ScenarioOptions options;
     auto scenario = core::BuildScenarioDataset(
-        *market, core::StudyPeriod::k2019, window, options);
+        *market, core::StudyPeriod::k2019, window);
     if (!scenario.ok()) {
       std::fprintf(stderr, "scenario failed: %s\n",
                    scenario.status().ToString().c_str());

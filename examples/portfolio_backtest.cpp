@@ -26,9 +26,8 @@ int main() {
     std::fprintf(stderr, "market setup failed\n");
     return 1;
   }
-  core::ScenarioOptions options;
   auto scenario = core::BuildScenarioDataset(*market, core::StudyPeriod::k2019,
-                                             /*window=*/7, options);
+                                             /*window=*/7);
   if (!scenario.ok()) {
     std::fprintf(stderr, "scenario failed: %s\n",
                  scenario.status().ToString().c_str());

@@ -42,9 +42,8 @@ int main() {
               index->back(), market->latent.btc_close.back());
 
   // 3. Build the supervised scenario: set 2019, 7-day-ahead target.
-  core::ScenarioOptions options;
   auto scenario = core::BuildScenarioDataset(*market, core::StudyPeriod::k2019,
-                                             /*window=*/7, options);
+                                             /*window=*/7);
   if (!scenario.ok()) {
     std::fprintf(stderr, "scenario failed: %s\n",
                  scenario.status().ToString().c_str());

@@ -130,8 +130,7 @@ std::vector<int> ScenarioDataset::FeaturePositionsInCategory(
 }
 
 Result<ScenarioDataset> BuildScenarioDataset(const sim::SimulatedMarket& market,
-                                             StudyPeriod period, int window,
-                                             const ScenarioOptions& options) {
+                                             StudyPeriod period, int window) {
   if (window < 1) {
     return Status::InvalidArgument("prediction window must be >= 1 day");
   }
@@ -154,7 +153,7 @@ Result<ScenarioDataset> BuildScenarioDataset(const sim::SimulatedMarket& market,
   ScenarioDataset scenario;
   scenario.period = period;
   scenario.window = window;
-  scenario.cleaning = table::CleanTable(&candidates, options.cleaning);
+  scenario.cleaning = table::CleanTable(&candidates);
 
   // 4. Attach the future target (negative shift brings later values back).
   {

@@ -53,11 +53,6 @@ struct ScenarioDataset {
       sim::DataCategory category) const;
 };
 
-/// Options controlling scenario assembly.
-struct ScenarioOptions {
-  table::CleaningOptions cleaning;
-};
-
 /// Builds the scenario dataset for (period, window):
 ///  1. restrict the metric table to the period,
 ///  2. drop metrics that had not started recording by the period start,
@@ -66,8 +61,7 @@ struct ScenarioOptions {
 ///  5. drop rows with remaining nulls (indicator warm-up) or no target.
 /// Requires AddTechnicalIndicators to have run on `market`.
 [[nodiscard]] Result<ScenarioDataset> BuildScenarioDataset(const sim::SimulatedMarket& market,
-                                             StudyPeriod period, int window,
-                                             const ScenarioOptions& options);
+                                             StudyPeriod period, int window);
 
 }  // namespace fab::core
 

@@ -137,9 +137,8 @@ Result<const ScenarioDataset*> Experiments::Scenario(StudyPeriod period,
   auto it = scenarios_.find(key);
   if (it != scenarios_.end()) return const_cast<const ScenarioDataset*>(it->second.get());
   FAB_ASSIGN_OR_RETURN(const sim::SimulatedMarket* market, Market());
-  ScenarioOptions options;
   FAB_ASSIGN_OR_RETURN(ScenarioDataset scenario,
-                       BuildScenarioDataset(*market, period, window, options));
+                       BuildScenarioDataset(*market, period, window));
   auto owned = std::make_unique<ScenarioDataset>(std::move(scenario));
   const ScenarioDataset* ptr = owned.get();
   scenarios_[key] = std::move(owned);
@@ -404,16 +403,6 @@ Result<std::string> Experiments::ExportModel(StudyPeriod period, int window,
   if (ec) return Status::IoError("cannot create model dir: " + ec.message());
   FAB_RETURN_IF_ERROR(serve::SnapshotCodec::Save(*fitted, path));
   return path;
-}
-
-Result<std::vector<std::string>> Experiments::ExportModels(StudyPeriod period,
-                                                           int window) {
-  std::vector<std::string> paths;
-  for (const char* model : {"rf", "xgb", "mlp"}) {
-    FAB_ASSIGN_OR_RETURN(std::string path, ExportModel(period, window, model));
-    paths.push_back(std::move(path));
-  }
-  return paths;
 }
 
 Result<HorizonGroup> Experiments::Group(StudyPeriod period,

@@ -116,10 +116,6 @@ class Experiments {
   [[nodiscard]] Result<std::string> ExportModel(StudyPeriod period, int window,
                                   const std::string& model);
 
-  /// Exports all three model kinds for a scenario; returns their paths.
-  [[nodiscard]] Result<std::vector<std::string>> ExportModels(StudyPeriod period,
-                                                int window);
-
  private:
   std::string ScenarioTag(StudyPeriod period, int window) const;
   std::string CachePath(const std::string& name) const;

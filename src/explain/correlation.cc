@@ -6,14 +6,6 @@
 
 namespace fab::explain {
 
-std::vector<double> FeatureTargetCorrelations(const ml::Dataset& data) {
-  std::vector<double> out(data.num_features(), 0.0);
-  for (size_t j = 0; j < data.num_features(); ++j) {
-    out[j] = stats::PearsonCorrelation(data.x.column(j), data.y);
-  }
-  return out;
-}
-
 std::vector<double> AbsFeatureTargetCorrelations(
     const ml::Dataset& data, const std::vector<int>& features) {
   std::vector<double> out(features.size(), 0.0);

@@ -61,14 +61,4 @@ std::vector<std::string> UnionNames(const std::vector<std::string>& a,
   return out;
 }
 
-std::vector<std::string> DifferenceNames(const std::vector<std::string>& a,
-                                         const std::vector<std::string>& b) {
-  std::unordered_set<std::string> set_b(b.begin(), b.end());
-  std::vector<std::string> out;
-  for (const auto& name : a) {
-    if (set_b.count(name) == 0) out.push_back(name);
-  }
-  return out;
-}
-
 }  // namespace fab::explain

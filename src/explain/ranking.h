@@ -27,10 +27,6 @@ size_t OverlapCount(const std::vector<std::string>& a,
 std::vector<std::string> UnionNames(const std::vector<std::string>& a,
                                     const std::vector<std::string>& b);
 
-/// Elements of `a` not present in `b`, preserving order.
-std::vector<std::string> DifferenceNames(const std::vector<std::string>& a,
-                                         const std::vector<std::string>& b);
-
 }  // namespace fab::explain
 
 #endif  // FAB_EXPLAIN_RANKING_H_

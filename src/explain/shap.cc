@@ -231,14 +231,6 @@ Result<std::vector<double>> MeanAbsShapForest(
   return MeanAbsShapTrees(model.trees(), x, scale);
 }
 
-Result<std::vector<double>> MeanAbsShapGbdt(const ml::GbdtRegressor& model,
-                                            const ml::ColMatrix& x) {
-  if (model.trees().empty()) {
-    return Status::FailedPrecondition("gbdt not fitted");
-  }
-  return MeanAbsShapTrees(model.trees(), x, model.params().learning_rate);
-}
-
 double TreeConditionalExpectation(const ml::RegressionTree& tree,
                                   const ml::ColMatrix& x, size_t row,
                                   const std::vector<bool>& in_s) {

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "ml/forest.h"
-#include "ml/gbdt.h"
 #include "ml/matrix.h"
 #include "ml/tree.h"
 #include "util/status.h"
@@ -25,11 +24,6 @@ namespace fab::explain {
 /// paper combines with FRA.
 [[nodiscard]] Result<std::vector<double>> MeanAbsShapForest(
     const ml::RandomForestRegressor& model, const ml::ColMatrix& x);
-
-/// Mean |SHAP| per feature for a GBDT (tree contributions scaled by the
-/// learning rate and summed).
-[[nodiscard]] Result<std::vector<double>> MeanAbsShapGbdt(const ml::GbdtRegressor& model,
-                                            const ml::ColMatrix& x);
 
 /// Exact Shapley values for one sample by brute-force subset enumeration
 /// (O(2^features × leaves)); validation oracle for TreeShapOne, usable

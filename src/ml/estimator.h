@@ -10,8 +10,9 @@
 
 namespace fab::ml {
 
-/// Abstract regressor: the uniform interface GridSearchCV, permutation
-/// importance and the experiment pipeline program against.
+/// Abstract regressor: the uniform interface cross-validation, permutation
+/// importance, the experiment pipeline and the serving layer program
+/// against.
 class Regressor {
  public:
   virtual ~Regressor() = default;
@@ -24,9 +25,6 @@ class Regressor {
 
   /// Predictions for every row of `x`.
   virtual std::vector<double> Predict(const ColMatrix& x) const;
-
-  /// Sets a named hyperparameter (used by grid search). Unknown names fail.
-  [[nodiscard]] virtual Status SetParam(const std::string& name, double value) = 0;
 
   /// Fresh unfitted copy carrying the same hyperparameters.
   virtual std::unique_ptr<Regressor> CloneUnfitted() const = 0;

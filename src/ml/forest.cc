@@ -99,45 +99,12 @@ RandomForestRegressor RandomForestRegressor::FromFitted(
   return rf;
 }
 
-Status RandomForestRegressor::SetParam(const std::string& name, double value) {
-  if (name == "n_trees") {
-    params_.n_trees = static_cast<int>(value);
-  } else if (name == "max_depth") {
-    params_.max_depth = static_cast<int>(value);
-  } else if (name == "min_samples_leaf") {
-    params_.min_samples_leaf = value;
-  } else if (name == "min_samples_split") {
-    params_.min_samples_split = value;
-  } else if (name == "max_features") {
-    params_.max_features = value;
-  } else if (name == "bootstrap_fraction") {
-    params_.bootstrap_fraction = value;
-  } else if (name == "seed") {
-    params_.seed = static_cast<uint64_t>(value);
-  } else {
-    return Status::InvalidArgument("unknown rf parameter: " + name);
-  }
-  return Status::OK();
-}
-
 std::unique_ptr<Regressor> RandomForestRegressor::CloneUnfitted() const {
   return std::make_unique<RandomForestRegressor>(params_);
 }
 
 std::vector<double> RandomForestRegressor::FeatureImportances() const {
-  std::vector<double> imp(num_features_, 0.0);
-  for (const RegressionTree& tree : trees_) {
-    const std::vector<double>& gain = tree.gain_importance();
-    for (size_t j = 0; j < gain.size() && j < imp.size(); ++j) {
-      imp[j] += gain[j];
-    }
-  }
-  double total = 0.0;
-  for (double v : imp) total += v;
-  if (total > 0.0) {
-    for (double& v : imp) v /= total;
-  }
-  return imp;
+  return EnsembleGainImportances(trees_, num_features_);
 }
 
 }  // namespace fab::ml

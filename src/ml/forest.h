@@ -44,7 +44,6 @@ class RandomForestRegressor : public Regressor {
   /// node list stays cache-hot across the whole batch, instead of the
   /// per-row default that re-walks all trees for every row.
   std::vector<double> Predict(const ColMatrix& x) const override;
-  [[nodiscard]] Status SetParam(const std::string& name, double value) override;
   std::unique_ptr<Regressor> CloneUnfitted() const override;
   std::vector<double> FeatureImportances() const override;
   std::string name() const override { return "rf"; }

@@ -91,49 +91,12 @@ GbdtRegressor GbdtRegressor::FromFitted(const GbdtParams& params,
   return gbdt;
 }
 
-Status GbdtRegressor::SetParam(const std::string& name, double value) {
-  if (name == "n_rounds") {
-    params_.n_rounds = static_cast<int>(value);
-  } else if (name == "learning_rate") {
-    params_.learning_rate = value;
-  } else if (name == "max_depth") {
-    params_.max_depth = static_cast<int>(value);
-  } else if (name == "lambda") {
-    params_.lambda = value;
-  } else if (name == "gamma") {
-    params_.gamma = value;
-  } else if (name == "min_child_weight") {
-    params_.min_child_weight = value;
-  } else if (name == "subsample") {
-    params_.subsample = value;
-  } else if (name == "colsample") {
-    params_.colsample = value;
-  } else if (name == "seed") {
-    params_.seed = static_cast<uint64_t>(value);
-  } else {
-    return Status::InvalidArgument("unknown xgb parameter: " + name);
-  }
-  return Status::OK();
-}
-
 std::unique_ptr<Regressor> GbdtRegressor::CloneUnfitted() const {
   return std::make_unique<GbdtRegressor>(params_);
 }
 
 std::vector<double> GbdtRegressor::FeatureImportances() const {
-  std::vector<double> imp(num_features_, 0.0);
-  for (const RegressionTree& tree : trees_) {
-    const std::vector<double>& gain = tree.gain_importance();
-    for (size_t j = 0; j < gain.size() && j < imp.size(); ++j) {
-      imp[j] += gain[j];
-    }
-  }
-  double total = 0.0;
-  for (double v : imp) total += v;
-  if (total > 0.0) {
-    for (double& v : imp) v /= total;
-  }
-  return imp;
+  return EnsembleGainImportances(trees_, num_features_);
 }
 
 }  // namespace fab::ml

@@ -43,7 +43,6 @@ class GbdtRegressor : public Regressor {
   double PredictOne(const ColMatrix& x, size_t row) const override;
   /// Batch fast-path: trees outer / rows inner (see RandomForestRegressor).
   std::vector<double> Predict(const ColMatrix& x) const override;
-  [[nodiscard]] Status SetParam(const std::string& name, double value) override;
   std::unique_ptr<Regressor> CloneUnfitted() const override;
   std::vector<double> FeatureImportances() const override;
   std::string name() const override { return "xgb"; }

@@ -25,16 +25,6 @@ double RootMeanSquaredError(const std::vector<double>& y_true,
   return std::sqrt(MeanSquaredError(y_true, y_pred));
 }
 
-double MeanAbsoluteError(const std::vector<double>& y_true,
-                         const std::vector<double>& y_pred) {
-  if (y_true.empty() || y_true.size() != y_pred.size()) return kNaN;
-  double acc = 0.0;
-  for (size_t i = 0; i < y_true.size(); ++i) {
-    acc += std::fabs(y_true[i] - y_pred[i]);
-  }
-  return acc / static_cast<double>(y_true.size());
-}
-
 double MeanAbsolutePercentageError(const std::vector<double>& y_true,
                                    const std::vector<double>& y_pred) {
   if (y_true.empty() || y_true.size() != y_pred.size()) return kNaN;

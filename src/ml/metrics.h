@@ -13,10 +13,6 @@ double MeanSquaredError(const std::vector<double>& y_true,
 double RootMeanSquaredError(const std::vector<double>& y_true,
                             const std::vector<double>& y_pred);
 
-/// Mean absolute error.
-double MeanAbsoluteError(const std::vector<double>& y_true,
-                         const std::vector<double>& y_pred);
-
 /// Mean absolute percentage error (%), skipping zero-valued truths.
 double MeanAbsolutePercentageError(const std::vector<double>& y_true,
                                    const std::vector<double>& y_pred);

@@ -266,27 +266,6 @@ double MlpRegressor::PredictOne(const ColMatrix& x, size_t row) const {
   return Forward(input, &activations) * y_std_ + y_mean_;
 }
 
-Status MlpRegressor::SetParam(const std::string& name, double value) {
-  if (name == "epochs") {
-    params_.epochs = static_cast<int>(value);
-  } else if (name == "batch_size") {
-    params_.batch_size = static_cast<int>(value);
-  } else if (name == "learning_rate") {
-    params_.learning_rate = value;
-  } else if (name == "l2") {
-    params_.l2 = value;
-  } else if (name == "seed") {
-    params_.seed = static_cast<uint64_t>(value);
-  } else if (name == "hidden_width") {
-    // Convenience knob for grid search: two layers of the given width.
-    const int w = std::max(1, static_cast<int>(value));
-    params_.hidden = {w, w / 2 > 0 ? w / 2 : 1};
-  } else {
-    return Status::InvalidArgument("unknown mlp parameter: " + name);
-  }
-  return Status::OK();
-}
-
 MlpRegressor MlpRegressor::FromFitted(const MlpParams& params,
                                       std::vector<Layer> layers,
                                       std::vector<double> x_mean,

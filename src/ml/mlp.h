@@ -44,7 +44,6 @@ class MlpRegressor : public Regressor {
 
   [[nodiscard]] Status Fit(const ColMatrix& x, const std::vector<double>& y) override;
   double PredictOne(const ColMatrix& x, size_t row) const override;
-  [[nodiscard]] Status SetParam(const std::string& name, double value) override;
   std::unique_ptr<Regressor> CloneUnfitted() const override;
   /// MLPs have no split gains; returns |first-layer weight| column sums
   /// (a standard saliency proxy), normalized.

@@ -1,6 +1,5 @@
 #include "ml/model_selection.h"
 
-#include <limits>
 #include <numeric>
 
 #include "ml/metrics.h"
@@ -40,24 +39,6 @@ Result<std::vector<Fold>> KFold(size_t n, int k, bool shuffle, uint64_t seed) {
   return folds;
 }
 
-std::vector<ParamPoint> ExpandGrid(
-    const std::map<std::string, std::vector<double>>& grid) {
-  std::vector<ParamPoint> points{{}};
-  for (const auto& [name, values] : grid) {
-    std::vector<ParamPoint> next;
-    next.reserve(points.size() * values.size());
-    for (const auto& p : points) {
-      for (double v : values) {
-        ParamPoint q = p;
-        q[name] = v;
-        next.push_back(std::move(q));
-      }
-    }
-    points = std::move(next);
-  }
-  return points;
-}
-
 Result<double> CrossValMse(const Regressor& prototype, const Dataset& data,
                            const std::vector<Fold>& folds) {
   FAB_TRACE_SCOPE("ml/cross_val_mse", {{"folds", folds.size()}});
@@ -85,32 +66,6 @@ Result<double> CrossValMse(const Regressor& prototype, const Dataset& data,
     total += fold_mse[f];
   }
   return total / static_cast<double>(folds.size());
-}
-
-Result<GridSearchResult> GridSearchCV(const Regressor& prototype,
-                                      const Dataset& data,
-                                      const std::vector<ParamPoint>& grid,
-                                      int k_folds, uint64_t seed) {
-  if (grid.empty()) return Status::InvalidArgument("empty parameter grid");
-  FAB_ASSIGN_OR_RETURN(std::vector<Fold> folds,
-                       KFold(data.num_rows(), k_folds, /*shuffle=*/true, seed));
-  GridSearchResult result;
-  result.all_mse.reserve(grid.size());
-  double best = std::numeric_limits<double>::infinity();
-  for (const ParamPoint& point : grid) {
-    std::unique_ptr<Regressor> candidate = prototype.CloneUnfitted();
-    for (const auto& [name, value] : point) {
-      FAB_RETURN_IF_ERROR(candidate->SetParam(name, value));
-    }
-    FAB_ASSIGN_OR_RETURN(double mse, CrossValMse(*candidate, data, folds));
-    result.all_mse.push_back(mse);
-    if (mse < best) {
-      best = mse;
-      result.best_params = point;
-      result.best_mse = mse;
-    }
-  }
-  return result;
 }
 
 }  // namespace fab::ml

@@ -2,8 +2,6 @@
 #define FAB_ML_MODEL_SELECTION_H_
 
 #include <cstdint>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "ml/estimator.h"
@@ -23,33 +21,9 @@ struct Fold {
 /// in exactly one validation set.
 [[nodiscard]] Result<std::vector<Fold>> KFold(size_t n, int k, bool shuffle, uint64_t seed);
 
-/// A point in hyperparameter space.
-using ParamPoint = std::map<std::string, double>;
-
-/// Cartesian product of per-parameter value lists.
-std::vector<ParamPoint> ExpandGrid(
-    const std::map<std::string, std::vector<double>>& grid);
-
 /// Mean validation MSE of `prototype` (cloned per fold) across `folds`.
 [[nodiscard]] Result<double> CrossValMse(const Regressor& prototype, const Dataset& data,
                            const std::vector<Fold>& folds);
-
-/// Result of a grid search.
-struct GridSearchResult {
-  ParamPoint best_params;
-  double best_mse = 0.0;
-  /// Mean CV MSE for every grid point, parallel to the expanded grid.
-  std::vector<double> all_mse;
-};
-
-/// Exhaustive k-fold cross-validated grid search minimizing MSE — the
-/// paper's fine-tuning procedure (5-fold CV grid search, Section 3.2).
-/// `prototype` supplies the fixed parameters; each grid point is applied
-/// on top via SetParam.
-[[nodiscard]] Result<GridSearchResult> GridSearchCV(const Regressor& prototype,
-                                      const Dataset& data,
-                                      const std::vector<ParamPoint>& grid,
-                                      int k_folds, uint64_t seed);
 
 }  // namespace fab::ml
 

@@ -308,4 +308,21 @@ int RegressionTree::Depth() const {
   return max_depth;
 }
 
+std::vector<double> EnsembleGainImportances(
+    const std::vector<RegressionTree>& trees, size_t num_features) {
+  std::vector<double> imp(num_features, 0.0);
+  for (const RegressionTree& tree : trees) {
+    const std::vector<double>& gain = tree.gain_importance();
+    for (size_t j = 0; j < gain.size() && j < imp.size(); ++j) {
+      imp[j] += gain[j];
+    }
+  }
+  double total = 0.0;
+  for (double v : imp) total += v;
+  if (total > 0.0) {
+    for (double& v : imp) v /= total;
+  }
+  return imp;
+}
+
 }  // namespace fab::ml

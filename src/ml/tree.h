@@ -102,6 +102,12 @@ class RegressionTree {
   std::vector<double> gain_;
 };
 
+/// Gain-based MDI importances of a tree ensemble: each feature's split
+/// gain summed over `trees` in order, then divided by the total so they
+/// sum to 1 (all zero when no tree split). Length `num_features`.
+std::vector<double> EnsembleGainImportances(
+    const std::vector<RegressionTree>& trees, size_t num_features);
+
 }  // namespace fab::ml
 
 #endif  // FAB_ML_TREE_H_

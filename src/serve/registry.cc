@@ -70,7 +70,7 @@ Result<std::shared_ptr<const Servable>> ModelRegistry::Get(
     util::MutexLock lock(mu_);
     auto it = loaded_.find(key);
     // A shared_ptr copy made while the lock is held — never a reference
-    // into loaded_, which a concurrent Reload/Evict could invalidate.
+    // into loaded_, which a concurrent Reload could invalidate.
     if (it != loaded_.end()) return it->second;
   }
   // Load outside the lock so a slow disk read doesn't stall lookups of
@@ -79,9 +79,7 @@ Result<std::shared_ptr<const Servable>> ModelRegistry::Get(
                        LoadFromDisk(key));
   util::MutexLock lock(mu_);
   // A racing loader may have won; keep the first one in.
-  auto [it, inserted] = loaded_.emplace(key, std::move(servable));
-  if (inserted) ++generation_;
-  return it->second;
+  return loaded_.emplace(key, std::move(servable)).first->second;
 }
 
 Status ModelRegistry::Reload(const ModelKey& key) {
@@ -89,7 +87,6 @@ Status ModelRegistry::Reload(const ModelKey& key) {
                        LoadFromDisk(key));
   util::MutexLock lock(mu_);
   loaded_[key] = std::move(fresh);  // atomic swap under the lock
-  ++generation_;
   return Status::OK();
 }
 
@@ -99,7 +96,6 @@ Status ModelRegistry::Put(const ModelKey& key,
                        Servable::Wrap(std::move(model)));
   util::MutexLock lock(mu_);
   loaded_[key] = std::move(servable);
-  ++generation_;
   return Status::OK();
 }
 
@@ -117,11 +113,6 @@ Status ModelRegistry::Install(const ModelKey& key,
   return Put(key, std::move(model));
 }
 
-void ModelRegistry::Evict(const ModelKey& key) {
-  util::MutexLock lock(mu_);
-  if (loaded_.erase(key) > 0) ++generation_;
-}
-
 std::vector<ModelKey> ModelRegistry::ListOnDisk() const {
   std::vector<ModelKey> keys;
   std::error_code ec;
@@ -134,16 +125,6 @@ std::vector<ModelKey> ModelRegistry::ListOnDisk() const {
   }
   std::sort(keys.begin(), keys.end());
   return keys;
-}
-
-size_t ModelRegistry::LoadedCount() const {
-  util::MutexLock lock(mu_);
-  return loaded_.size();
-}
-
-uint64_t ModelRegistry::Generation() const {
-  util::MutexLock lock(mu_);
-  return generation_;
 }
 
 }  // namespace fab::serve

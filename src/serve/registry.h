@@ -1,7 +1,6 @@
 #ifndef FAB_SERVE_REGISTRY_H_
 #define FAB_SERVE_REGISTRY_H_
 
-#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -51,8 +50,8 @@ std::string SnapshotFileName(const ModelKey& key);
 /// Escape discipline (compiler-checked via FAB_GUARDED_BY under
 /// `-DFAB_THREAD_SAFETY=ON`): no method ever returns a reference or
 /// pointer into the guarded map — accessors hand out shared_ptr *copies*
-/// taken under the lock, so a concurrent Reload/Evict can never leave a
-/// caller holding a dangling handle.
+/// taken under the lock, so a concurrent Reload can never leave a caller
+/// holding a dangling handle.
 class ModelRegistry {
  public:
   explicit ModelRegistry(std::string root_dir) : root_(std::move(root_dir)) {}
@@ -69,20 +68,8 @@ class ModelRegistry {
   /// Saves a fitted model into the registry directory AND registers it.
   [[nodiscard]] Status Install(const ModelKey& key, std::unique_ptr<ml::Regressor> model);
 
-  /// Drops a cached entry (the snapshot file, if any, is untouched).
-  void Evict(const ModelKey& key);
-
   /// Keys with a parseable snapshot file in the registry directory.
   std::vector<ModelKey> ListOnDisk() const;
-
-  /// Number of models currently resident in memory.
-  size_t LoadedCount() const;
-
-  /// Monotonic mutation counter: bumped by every successful Reload, Put,
-  /// Install and entry-removing Evict. Lets serving layers detect "has
-  /// anything changed since I last looked?" with one cheap call instead
-  /// of comparing servable pointers key by key.
-  uint64_t Generation() const;
 
   const std::string& root_dir() const { return root_; }
   std::string PathFor(const ModelKey& key) const;
@@ -95,7 +82,6 @@ class ModelRegistry {
   mutable util::Mutex mu_;
   std::map<ModelKey, std::shared_ptr<const Servable>> loaded_
       FAB_GUARDED_BY(mu_);
-  uint64_t generation_ FAB_GUARDED_BY(mu_) = 0;
 };
 
 }  // namespace fab::serve

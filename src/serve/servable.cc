@@ -36,9 +36,4 @@ std::vector<double> Servable::Predict(const ml::ColMatrix& x) const {
   return model_->Predict(x);
 }
 
-double Servable::PredictOne(const ml::ColMatrix& x, size_t row) const {
-  if (flattened()) return flat_.PredictOne(x, row);
-  return model_->PredictOne(x, row);
-}
-
 }  // namespace fab::serve

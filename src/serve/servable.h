@@ -26,9 +26,6 @@ class Servable {
   /// model's own (possibly overridden) Predict.
   std::vector<double> Predict(const ml::ColMatrix& x) const;
 
-  /// Single-row prediction.
-  double PredictOne(const ml::ColMatrix& x, size_t row) const;
-
   const ml::Regressor& model() const { return *model_; }
   bool flattened() const { return !flat_.empty(); }
   const FlatForest& flat() const { return flat_; }

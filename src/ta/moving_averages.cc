@@ -35,22 +35,4 @@ table::Column Ema(const std::vector<double>& values, int window) {
   return out;
 }
 
-table::Column Wma(const std::vector<double>& values, int window) {
-  const size_t n = values.size();
-  const size_t w = static_cast<size_t>(window);
-  table::Column out(n);
-  if (window < 1 || n < w) return out;
-  const double denom = static_cast<double>(window) *
-                       (static_cast<double>(window) + 1.0) / 2.0;
-  for (size_t i = w - 1; i < n; ++i) {
-    double acc = 0.0;
-    for (size_t k = 0; k < w; ++k) {
-      // Most recent value gets the largest weight.
-      acc += values[i - k] * static_cast<double>(window - static_cast<int>(k));
-    }
-    out.Set(i, acc / denom);
-  }
-  return out;
-}
-
 }  // namespace fab::ta

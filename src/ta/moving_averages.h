@@ -16,9 +16,6 @@ table::Column Sma(const std::vector<double>& values, int window);
 /// libraries). Rows before the seed are null.
 table::Column Ema(const std::vector<double>& values, int window);
 
-/// Linearly weighted moving average (weight i+1 on the i-th most recent).
-table::Column Wma(const std::vector<double>& values, int window);
-
 }  // namespace fab::ta
 
 #endif  // FAB_TA_MOVING_AVERAGES_H_

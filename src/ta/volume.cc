@@ -50,31 +50,4 @@ table::Column ChaikinMoneyFlow(const std::vector<double>& high,
   return out;
 }
 
-table::Column RollingVwap(const std::vector<double>& high,
-                          const std::vector<double>& low,
-                          const std::vector<double>& close,
-                          const std::vector<double>& volume, int window) {
-  const size_t n = close.size();
-  table::Column out(n);
-  if (window < 1 || n < static_cast<size_t>(window) || high.size() != n ||
-      low.size() != n || volume.size() != n) {
-    return out;
-  }
-  const size_t w = static_cast<size_t>(window);
-  for (size_t i = w - 1; i < n; ++i) {
-    double num = 0.0;
-    double den = 0.0;
-    for (size_t j = i + 1 - w; j <= i; ++j) {
-      const double tp = (high[j] + low[j] + close[j]) / 3.0;
-      num += tp * volume[j];
-      den += volume[j];
-    }
-    // A window with no traded volume has no volume-weighted price; leave
-    // the cell null (a 0.0 sentinel would be a price-scale discontinuity
-    // during exchange outages) and let downstream cleaning drop the row.
-    if (den > 0.0) out.Set(i, num / den);
-  }
-  return out;
-}
-
 }  // namespace fab::ta

@@ -18,13 +18,6 @@ table::Column ChaikinMoneyFlow(const std::vector<double>& high,
                                const std::vector<double>& close,
                                const std::vector<double>& volume, int window);
 
-/// Rolling volume-weighted average price over the trailing window, using
-/// the typical price (H+L+C)/3.
-table::Column RollingVwap(const std::vector<double>& high,
-                          const std::vector<double>& low,
-                          const std::vector<double>& close,
-                          const std::vector<double>& volume, int window);
-
 }  // namespace fab::ta
 
 #endif  // FAB_TA_VOLUME_H_

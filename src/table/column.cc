@@ -1,18 +1,8 @@
 #include "table/column.h"
 
 #include <algorithm>
-#include <set>
-
-#include "util/check.h"
 
 namespace fab::table {
-
-Column::Column(std::vector<double> values, std::vector<uint8_t> valid)
-    : values_(std::move(values)), valid_(std::move(valid)) {
-  FAB_CHECK(values_.size() == valid_.size())
-      << "values/validity length mismatch: " << values_.size() << " vs "
-      << valid_.size();
-}
 
 size_t Column::null_count() const {
   size_t n = 0;
@@ -23,14 +13,6 @@ size_t Column::null_count() const {
 double Column::null_fraction() const {
   if (values_.empty()) return 0.0;
   return static_cast<double>(null_count()) / static_cast<double>(size());
-}
-
-size_t Column::distinct_valid_count() const {
-  std::set<double> seen;
-  for (size_t i = 0; i < size(); ++i) {
-    if (is_valid(i)) seen.insert(values_[i]);
-  }
-  return seen.size();
 }
 
 size_t Column::longest_flat_run() const {
@@ -54,15 +36,6 @@ size_t Column::longest_flat_run() const {
     best = std::max(best, run);
   }
   return best;
-}
-
-std::vector<double> Column::ValidValues() const {
-  std::vector<double> out;
-  out.reserve(size() - null_count());
-  for (size_t i = 0; i < size(); ++i) {
-    if (is_valid(i)) out.push_back(values_[i]);
-  }
-  return out;
 }
 
 std::vector<double> Column::ToDense(double fill) const {

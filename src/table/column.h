@@ -27,9 +27,6 @@ class Column {
   explicit Column(std::vector<double> values)
       : values_(std::move(values)), valid_(values_.size(), 1) {}
 
-  /// A column with an explicit mask. Requires equal lengths.
-  Column(std::vector<double> values, std::vector<uint8_t> valid);
-
   size_t size() const { return values_.size(); }
   bool empty() const { return values_.empty(); }
 
@@ -50,33 +47,15 @@ class Column {
     valid_[i] = 0;
   }
 
-  /// Appends a valid value.
-  void Append(double v) {
-    values_.push_back(v);
-    valid_.push_back(1);
-  }
-
-  /// Appends a null slot.
-  void AppendNull() {
-    values_.push_back(0.0);
-    valid_.push_back(0);
-  }
-
   /// Number of null slots.
   size_t null_count() const;
 
   /// Fraction of null slots, 0 for an empty column.
   double null_fraction() const;
 
-  /// Number of distinct values among valid slots.
-  size_t distinct_valid_count() const;
-
   /// Length of the longest run of consecutive identical valid values
   /// (null slots break runs). 0 for an all-null column.
   size_t longest_flat_run() const;
-
-  /// Valid values only, in order.
-  std::vector<double> ValidValues() const;
 
   /// All values with nulls replaced by `fill`.
   std::vector<double> ToDense(double fill) const;
@@ -89,10 +68,6 @@ class Column {
 
   /// Elementwise equality including mask.
   bool EqualsExactly(const Column& other) const;
-
-  /// Raw storage accessors (values at null slots are unspecified).
-  const std::vector<double>& values() const { return values_; }
-  const std::vector<uint8_t>& validity() const { return valid_; }
 
  private:
   std::vector<double> values_;

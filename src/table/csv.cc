@@ -2,9 +2,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <sstream>
-
-#include "util/string_util.h"
 
 namespace fab::table {
 
@@ -30,60 +27,6 @@ Status WriteCsv(const Table& t, const std::string& path) {
   out.flush();
   if (!out) return Status::IoError("write failed: " + path);
   return Status::OK();
-}
-
-Result<Table> ReadCsv(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IoError("cannot open for reading: " + path);
-  std::string line;
-  if (!std::getline(in, line)) {
-    return Status::IoError("empty csv: " + path);
-  }
-  // Strip a UTF-8 BOM and trailing CR if present.
-  if (line.size() >= 3 && line.compare(0, 3, "\xEF\xBB\xBF") == 0) {
-    line.erase(0, 3);
-  }
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  std::vector<std::string> header = Split(line, ',');
-  if (header.empty() || ToLower(Trim(header[0])) != "date") {
-    return Status::InvalidArgument("csv header must start with 'date': " + path);
-  }
-  const size_t ncols = header.size() - 1;
-
-  std::vector<Date> dates;
-  std::vector<Column> cols(ncols);
-  size_t row = 0;
-  while (std::getline(in, line)) {
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-    if (Trim(line).empty()) continue;
-    std::vector<std::string> fields = Split(line, ',');
-    if (fields.size() != header.size()) {
-      return Status::InvalidArgument("row " + std::to_string(row + 1) +
-                                     " has wrong field count in: " + path);
-    }
-    FAB_ASSIGN_OR_RETURN(Date d, Date::FromString(Trim(fields[0])));
-    dates.push_back(d);
-    for (size_t c = 0; c < ncols; ++c) {
-      const std::string field = Trim(fields[c + 1]);
-      if (field.empty()) {
-        cols[c].AppendNull();
-        continue;
-      }
-      char* end = nullptr;
-      const double v = std::strtod(field.c_str(), &end);
-      if (end == field.c_str() || *end != '\0') {
-        return Status::InvalidArgument("non-numeric field '" + field +
-                                       "' at row " + std::to_string(row + 1));
-      }
-      cols[c].Append(v);
-    }
-    ++row;
-  }
-  FAB_ASSIGN_OR_RETURN(Table t, Table::Create(std::move(dates)));
-  for (size_t c = 0; c < ncols; ++c) {
-    FAB_RETURN_IF_ERROR(t.AddColumn(Trim(header[c + 1]), std::move(cols[c])));
-  }
-  return t;
 }
 
 }  // namespace fab::table

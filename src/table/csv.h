@@ -12,11 +12,6 @@ namespace fab::table {
 /// fields for nulls, full double precision (%.17g round-trips exactly).
 [[nodiscard]] Status WriteCsv(const Table& t, const std::string& path);
 
-/// Reads a CSV produced by `WriteCsv` (or any CSV whose first column is an
-/// ISO date and whose remaining columns are numeric-or-empty). Rows must be
-/// in strictly increasing date order.
-[[nodiscard]] Result<Table> ReadCsv(const std::string& path);
-
 }  // namespace fab::table
 
 #endif  // FAB_TABLE_CSV_H_

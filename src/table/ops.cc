@@ -1,8 +1,5 @@
 #include "table/ops.h"
 
-#include <cmath>
-#include <cstdlib>
-
 namespace fab::table {
 
 Column InterpolateLinear(const Column& c) {
@@ -32,116 +29,42 @@ Column InterpolateLinear(const Column& c) {
   return out;
 }
 
-Column ForwardFill(const Column& c) {
-  Column out = c;
-  bool have = false;
-  double last = 0.0;
-  for (size_t i = 0; i < c.size(); ++i) {
-    if (c.is_valid(i)) {
-      last = c.value(i);
-      have = true;
-    } else if (have) {
-      out.Set(i, last);
-    }
-  }
-  return out;
-}
-
-Column BackwardFill(const Column& c) {
-  Column out = c;
-  bool have = false;
-  double next = 0.0;
-  for (size_t i = c.size(); i-- > 0;) {
-    if (c.is_valid(i)) {
-      next = c.value(i);
-      have = true;
-    } else if (have) {
-      out.Set(i, next);
-    }
-  }
-  return out;
-}
-
-Column Shift(const Column& c, int periods) {
-  const size_t n = c.size();
-  Column out(n);
-  for (size_t i = 0; i < n; ++i) {
-    const long long src = static_cast<long long>(i) - periods;
-    if (src < 0 || src >= static_cast<long long>(n)) continue;
-    const size_t s = static_cast<size_t>(src);
-    if (c.is_valid(s)) out.Set(i, c.value(s));
-  }
-  return out;
-}
-
-Column PctChange(const Column& c, int periods) {
-  const size_t n = c.size();
-  Column out(n);
-  for (size_t i = 0; i < n; ++i) {
-    const long long src = static_cast<long long>(i) - periods;
-    if (src < 0 || src >= static_cast<long long>(n)) continue;
-    const size_t s = static_cast<size_t>(src);
-    if (c.is_valid(i) && c.is_valid(s) && c.value(s) != 0.0) {
-      out.Set(i, (c.value(i) - c.value(s)) / c.value(s));
-    }
-  }
-  return out;
-}
-
-Column LogReturn(const Column& c, int periods) {
-  const size_t n = c.size();
-  Column out(n);
-  for (size_t i = 0; i < n; ++i) {
-    const long long src = static_cast<long long>(i) - periods;
-    if (src < 0 || src >= static_cast<long long>(n)) continue;
-    const size_t s = static_cast<size_t>(src);
-    if (c.is_valid(i) && c.is_valid(s) && c.value(i) > 0.0 && c.value(s) > 0.0) {
-      out.Set(i, std::log(c.value(i) / c.value(s)));
-    }
-  }
-  return out;
-}
-
-CleaningReport CleanTable(Table* t, const CleaningOptions& options) {
+CleaningReport CleanTable(Table* t) {
   CleaningReport report;
   // Pass 1: drop sparse and flat columns.
   std::vector<std::string> names = t->column_names();
   for (const auto& name : names) {
     const Column& c = **t->GetColumn(name);
-    if (c.null_fraction() > options.max_null_fraction) {
+    if (c.null_fraction() > kMaxNullFraction) {
       report.dropped_sparse.push_back(name);
       (void)t->DropColumn(name);
       continue;
     }
-    if (c.longest_flat_run() > options.max_flat_run) {
+    if (c.longest_flat_run() > kMaxFlatRun) {
       report.dropped_flat.push_back(name);
       (void)t->DropColumn(name);
     }
   }
   // Pass 2: drop exact duplicates of earlier columns.
-  if (options.drop_duplicates) {
-    names = t->column_names();
-    for (size_t i = 0; i < names.size(); ++i) {
-      const Column* ci = *t->GetColumn(names[i]);
-      for (size_t j = 0; j < i; ++j) {
-        if (!t->HasColumn(names[j])) continue;
-        const Column* cj = *t->GetColumn(names[j]);
-        if (ci->EqualsExactly(*cj)) {
-          report.dropped_duplicate.push_back(names[i]);
-          (void)t->DropColumn(names[i]);
-          break;
-        }
+  names = t->column_names();
+  for (size_t i = 0; i < names.size(); ++i) {
+    const Column* ci = *t->GetColumn(names[i]);
+    for (size_t j = 0; j < i; ++j) {
+      if (!t->HasColumn(names[j])) continue;
+      const Column* cj = *t->GetColumn(names[j]);
+      if (ci->EqualsExactly(*cj)) {
+        report.dropped_duplicate.push_back(names[i]);
+        (void)t->DropColumn(names[i]);
+        break;
       }
     }
   }
   // Pass 3: interpolate interior nulls on survivors.
-  if (options.interpolate) {
-    for (const auto& name : t->column_names()) {
-      Column* c = *t->GetMutableColumn(name);
-      const size_t before = c->null_count();
-      *c = InterpolateLinear(*c);
-      report.interpolated_cells += before - c->null_count();
-    }
+  for (const auto& name : t->column_names()) {
+    Column* c = *t->GetMutableColumn(name);
+    const size_t before = c->null_count();
+    *c = InterpolateLinear(*c);
+    report.interpolated_cells += before - c->null_count();
   }
   return report;
 }

@@ -16,25 +16,6 @@ namespace fab::table {
 /// nothing to interpolate between).
 Column InterpolateLinear(const Column& c);
 
-/// Fills each null with the most recent prior valid value.
-Column ForwardFill(const Column& c);
-
-/// Fills each null with the next later valid value.
-Column BackwardFill(const Column& c);
-
-/// Shifts values forward by `periods` rows (positive = later rows hold
-/// earlier values, pandas-style); vacated slots become null. Negative
-/// `periods` shifts backward, which is how supervised targets "price in
-/// `w` days" are built.
-Column Shift(const Column& c, int periods);
-
-/// Per-row percentage change vs `periods` rows earlier; first rows null.
-Column PctChange(const Column& c, int periods);
-
-/// Natural-log return vs `periods` rows earlier (null where either side is
-/// null or non-positive).
-Column LogReturn(const Column& c, int periods);
-
 /// Table-level cleaning ----------------------------------------------------
 
 /// Summary of what `CleanTable` removed, for reporting.
@@ -45,24 +26,20 @@ struct CleaningReport {
   size_t interpolated_cells = 0;              ///< nulls filled by interpolation
 };
 
-/// Parameters of the paper's preprocessing phase (Section 3.1.2): fill
-/// gaps by interpolation, drop features with flat or missing values for
-/// very long periods, drop duplicates.
-struct CleaningOptions {
-  /// Columns with more than this fraction of nulls (after restriction to
-  /// the study period) are dropped.
-  double max_null_fraction = 0.30;
-  /// Columns whose longest constant run exceeds this many rows are
-  /// considered flat and dropped.
-  size_t max_flat_run = 180;
-  /// Drop columns that are exact duplicates of an earlier column.
-  bool drop_duplicates = true;
-  /// Interpolate interior nulls on surviving columns.
-  bool interpolate = true;
-};
+/// Columns with more than this fraction of nulls (after restriction to
+/// the study period) are dropped by `CleanTable`.
+inline constexpr double kMaxNullFraction = 0.30;
 
-/// Applies the cleaning pipeline in place; returns what was removed.
-CleaningReport CleanTable(Table* t, const CleaningOptions& options);
+/// Columns whose longest constant run exceeds this many rows are
+/// considered flat and dropped by `CleanTable`.
+inline constexpr size_t kMaxFlatRun = 180;
+
+/// The paper's preprocessing phase (Section 3.1.2), in place: drops
+/// features with missing (`kMaxNullFraction`) or flat (`kMaxFlatRun`)
+/// values for very long periods, then exact duplicates of an earlier
+/// column, then fills interior gaps of the survivors by interpolation.
+/// Returns what was removed.
+CleaningReport CleanTable(Table* t);
 
 /// Names of columns that have at least one valid value on or before
 /// `cutoff` — i.e. metrics that had started recording by the period's

@@ -56,22 +56,6 @@ Status Table::DropColumn(const std::string& name) {
   return Status::OK();
 }
 
-Status Table::RenameColumn(const std::string& from, const std::string& to) {
-  auto it = name_to_pos_.find(from);
-  if (it == name_to_pos_.end()) {
-    return Status::NotFound("no such column: " + from);
-  }
-  if (from == to) return Status::OK();
-  if (HasColumn(to)) {
-    return Status::AlreadyExists("column already exists: " + to);
-  }
-  const size_t pos = it->second;
-  name_to_pos_.erase(it);
-  name_to_pos_[to] = pos;
-  names_[pos] = to;
-  return Status::OK();
-}
-
 Result<const Column*> Table::GetColumn(const std::string& name) const {
   auto it = name_to_pos_.find(name);
   if (it == name_to_pos_.end()) {
@@ -92,24 +76,6 @@ Result<Column*> Table::GetMutableColumn(const std::string& name) {
       << "name->position map points past " << columns_.size()
       << " columns for '" << name << "'";
   return &columns_[it->second];
-}
-
-Status Table::SetColumn(const std::string& name, Column column) {
-  auto it = name_to_pos_.find(name);
-  if (it == name_to_pos_.end()) {
-    return Status::NotFound("no such column: " + name);
-  }
-  if (column.size() != num_rows()) {
-    return Status::InvalidArgument("column size mismatch for: " + name);
-  }
-  columns_[it->second] = std::move(column);
-  return Status::OK();
-}
-
-int Table::FindRow(Date d) const {
-  auto it = std::lower_bound(index_.begin(), index_.end(), d);
-  if (it == index_.end() || *it != d) return -1;
-  return static_cast<int>(it - index_.begin());
 }
 
 Table Table::SliceRows(Date start, Date end) const {
@@ -146,41 +112,6 @@ Result<Table> Table::SelectColumns(const std::vector<std::string>& names) const 
   return out;
 }
 
-Result<Table> Table::InnerJoin(const Table& other) const {
-  for (const auto& name : other.names_) {
-    if (HasColumn(name)) {
-      return Status::AlreadyExists("duplicate column in join: " + name);
-    }
-  }
-  // Intersect the two sorted date indexes.
-  std::vector<Date> merged;
-  std::vector<size_t> left_rows, right_rows;
-  size_t i = 0, j = 0;
-  while (i < index_.size() && j < other.index_.size()) {
-    if (index_[i] < other.index_[j]) {
-      ++i;
-    } else if (other.index_[j] < index_[i]) {
-      ++j;
-    } else {
-      merged.push_back(index_[i]);
-      left_rows.push_back(i);
-      right_rows.push_back(j);
-      ++i;
-      ++j;
-    }
-  }
-  Table out;
-  out.index_ = std::move(merged);
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    FAB_RETURN_IF_ERROR(out.AddColumn(names_[c], columns_[c].Take(left_rows)));
-  }
-  for (size_t c = 0; c < other.columns_.size(); ++c) {
-    FAB_RETURN_IF_ERROR(
-        out.AddColumn(other.names_[c], other.columns_[c].Take(right_rows)));
-  }
-  return out;
-}
-
 Table Table::DropRowsWithNulls() const {
   std::vector<size_t> keep;
   keep.reserve(num_rows());
@@ -202,12 +133,6 @@ Table Table::DropRowsWithNulls() const {
   out.columns_.reserve(columns_.size());
   for (const Column& c : columns_) out.columns_.push_back(c.Take(keep));
   return out;
-}
-
-size_t Table::TotalNullCount() const {
-  size_t n = 0;
-  for (const Column& c : columns_) n += c.null_count();
-  return n;
 }
 
 }  // namespace fab::table

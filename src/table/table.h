@@ -15,8 +15,8 @@ namespace fab::table {
 ///
 /// All series in the study are daily observations, so the row index is a
 /// vector of `Date`s shared by every column. Columns are double-typed with
-/// validity masks (`Column`). Structural edits (add/drop/rename) are O(1)
-/// amortized; lookups by name go through a hash map.
+/// validity masks (`Column`). Adding a column is O(1) amortized; lookups
+/// by name go through a hash map.
 class Table {
  public:
   Table() = default;
@@ -45,18 +45,9 @@ class Table {
   /// Removes a column. Fails if absent.
   [[nodiscard]] Status DropColumn(const std::string& name);
 
-  /// Renames a column. Fails if `from` is absent or `to` exists.
-  [[nodiscard]] Status RenameColumn(const std::string& from, const std::string& to);
-
   /// Borrow a column by name.
   [[nodiscard]] Result<const Column*> GetColumn(const std::string& name) const;
   [[nodiscard]] Result<Column*> GetMutableColumn(const std::string& name);
-
-  /// Replaces an existing column's data. Fails if absent or mis-sized.
-  [[nodiscard]] Status SetColumn(const std::string& name, Column column);
-
-  /// Position of the row whose date equals `d`, or -1.
-  int FindRow(Date d) const;
 
   /// Rows with dates in [start, end] inclusive, all columns.
   Table SliceRows(Date start, Date end) const;
@@ -68,16 +59,8 @@ class Table {
   /// name.
   [[nodiscard]] Result<Table> SelectColumns(const std::vector<std::string>& names) const;
 
-  /// Inner-joins `other` on the date index: the result holds the
-  /// intersection of dates and the union of columns. Fails on duplicate
-  /// column names.
-  [[nodiscard]] Result<Table> InnerJoin(const Table& other) const;
-
   /// Rows where every column is valid.
   Table DropRowsWithNulls() const;
-
-  /// Total null slots across all columns.
-  size_t TotalNullCount() const;
 
  private:
   std::vector<Date> index_;

@@ -33,38 +33,12 @@ void CivilFromDays(int64_t z, int* y_out, int* m_out, int* d_out) {
   *d_out = static_cast<int>(d);
 }
 
-bool IsLeap(int y) { return y % 4 == 0 && (y % 100 != 0 || y % 400 == 0); }
-
-int DaysInMonth(int y, int m) {
-  static const int kDays[] = {31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31};
-  if (m == 2 && IsLeap(y)) return 29;
-  return kDays[m - 1];
-}
-
 }  // namespace
 
 Date::Date(int year, int month, int day)
     : ordinal_(DaysFromCivil(year, month, day)) {}
 
 Date Date::FromOrdinal(int64_t ordinal) { return Date(ordinal); }
-
-Result<Date> Date::FromString(const std::string& iso) {
-  int y = 0, m = 0, d = 0;
-  char extra = 0;
-  if (std::sscanf(iso.c_str(), "%d-%d-%d%c", &y, &m, &d, &extra) != 3) {
-    return Status::InvalidArgument("cannot parse date: '" + iso + "'");
-  }
-  if (!IsValidCivil(y, m, d)) {
-    return Status::InvalidArgument("invalid calendar date: '" + iso + "'");
-  }
-  return Date(y, m, d);
-}
-
-bool Date::IsValidCivil(int year, int month, int day) {
-  if (month < 1 || month > 12) return false;
-  if (day < 1 || day > DaysInMonth(year, month)) return false;
-  return true;
-}
 
 int Date::year() const {
   int y, m, d;
@@ -82,13 +56,6 @@ int Date::day() const {
   int y, m, d;
   CivilFromDays(ordinal_, &y, &m, &d);
   return d;
-}
-
-int Date::day_of_week() const {
-  // 1970-01-01 was a Thursday (ISO weekday 4).
-  int64_t w = (ordinal_ + 3) % 7;  // 0 = Monday.
-  if (w < 0) w += 7;
-  return static_cast<int>(w) + 1;
 }
 
 std::string Date::ToString() const {

@@ -5,8 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "util/status.h"
-
 namespace fab {
 
 /// A calendar date in the proleptic Gregorian calendar.
@@ -20,26 +18,16 @@ class Date {
   Date() : ordinal_(0) {}
 
   /// From a civil year/month/day. Out-of-range months/days are normalized
-  /// by the ordinal conversion (e.g. Feb 30 -> Mar 1/2); use `IsValidCivil`
-  /// to validate raw input first.
+  /// by the ordinal conversion (e.g. Feb 30 -> Mar 1/2).
   Date(int year, int month, int day);
 
   /// From days since the Unix epoch (may be negative).
   static Date FromOrdinal(int64_t ordinal);
 
-  /// Parses "YYYY-MM-DD".
-  [[nodiscard]] static Result<Date> FromString(const std::string& iso);
-
-  /// True when (year, month, day) names a real calendar date.
-  static bool IsValidCivil(int year, int month, int day);
-
   int64_t ordinal() const { return ordinal_; }
   int year() const;
   int month() const;
   int day() const;
-
-  /// ISO 8601 day of week, 1 = Monday ... 7 = Sunday.
-  int day_of_week() const;
 
   /// "YYYY-MM-DD".
   std::string ToString() const;

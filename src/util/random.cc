@@ -1,7 +1,6 @@
 #include "util/random.h"
 
 #include <cmath>
-#include <numeric>
 
 namespace fab {
 
@@ -37,8 +36,6 @@ double Rng::Uniform() {
   // 53 random bits into [0, 1).
   return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
 }
-
-double Rng::Uniform(double lo, double hi) { return lo + (hi - lo) * Uniform(); }
 
 uint64_t Rng::UniformInt(uint64_t n) {
   // Lemire-style rejection to avoid modulo bias.
@@ -84,14 +81,6 @@ double Rng::StudentT(double dof) {
   return z / std::sqrt(chi_sq / dof);
 }
 
-double Rng::Exponential(double rate) {
-  double u = 0.0;
-  do {
-    u = Uniform();
-  } while (u <= 0.0);
-  return -std::log(u) / rate;
-}
-
 double Rng::Gamma(double shape, double scale) {
   if (shape < 1.0) {
     // Boost to shape+1 and correct with a power of a uniform.
@@ -122,42 +111,6 @@ double Rng::Gamma(double shape, double scale) {
 }
 
 bool Rng::Bernoulli(double p) { return Uniform() < p; }
-
-int Rng::Poisson(double mean) {
-  if (mean <= 0.0) return 0;
-  if (mean > 64.0) {
-    const double v = Normal(mean, std::sqrt(mean));
-    return v < 0.0 ? 0 : static_cast<int>(v + 0.5);
-  }
-  const double limit = std::exp(-mean);
-  double product = Uniform();
-  int count = 0;
-  while (product > limit) {
-    ++count;
-    product *= Uniform();
-  }
-  return count;
-}
-
-std::vector<int> Rng::SampleWithReplacement(int n, int count) {
-  std::vector<int> out(static_cast<size_t>(count));
-  for (auto& v : out) v = static_cast<int>(UniformInt(static_cast<uint64_t>(n)));
-  return out;
-}
-
-std::vector<int> Rng::SampleWithoutReplacement(int n, int count) {
-  std::vector<int> pool(static_cast<size_t>(n));
-  std::iota(pool.begin(), pool.end(), 0);
-  // Partial Fisher–Yates: the first `count` slots become the sample.
-  for (int i = 0; i < count; ++i) {
-    const size_t j =
-        static_cast<size_t>(i) +
-        static_cast<size_t>(UniformInt(static_cast<uint64_t>(n - i)));
-    std::swap(pool[static_cast<size_t>(i)], pool[j]);
-  }
-  pool.resize(static_cast<size_t>(count));
-  return pool;
-}
 
 uint64_t Rng::Fork(uint64_t child_index) {
   SplitMix64 sm(state_[0] ^ (0xA5A5A5A5A5A5A5A5ull + child_index));

@@ -38,9 +38,6 @@ class Rng {
   /// Uniform double in [0, 1).
   double Uniform();
 
-  /// Uniform double in [lo, hi).
-  double Uniform(double lo, double hi);
-
   /// Uniform integer in [0, n). Requires n > 0.
   uint64_t UniformInt(uint64_t n);
 
@@ -54,17 +51,11 @@ class Rng {
   /// crypto-like return shocks). Requires dof > 0.
   double StudentT(double dof);
 
-  /// Exponential deviate with the given rate. Requires rate > 0.
-  double Exponential(double rate);
-
   /// Gamma(shape, scale) via Marsaglia–Tsang. Requires shape, scale > 0.
   double Gamma(double shape, double scale);
 
   /// Bernoulli trial with probability p of true.
   bool Bernoulli(double p);
-
-  /// Poisson deviate (Knuth for small mean, normal approximation above 64).
-  int Poisson(double mean);
 
   /// In-place Fisher–Yates shuffle.
   template <typename T>
@@ -74,13 +65,6 @@ class Rng {
       std::swap(v[i - 1], v[j]);
     }
   }
-
-  /// `count` indices sampled uniformly with replacement from [0, n).
-  std::vector<int> SampleWithReplacement(int n, int count);
-
-  /// `count` distinct indices sampled uniformly without replacement from
-  /// [0, n). Requires count <= n.
-  std::vector<int> SampleWithoutReplacement(int n, int count);
 
   /// Deterministically derives an independent child seed; child `i` of the
   /// same parent is stable across runs.

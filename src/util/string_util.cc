@@ -1,7 +1,6 @@
 #include "util/string_util.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 
@@ -22,43 +21,10 @@ std::vector<std::string> Split(const std::string& s, char delim) {
   return out;
 }
 
-std::string Join(const std::vector<std::string>& parts,
-                 const std::string& delim) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out += delim;
-    out += parts[i];
-  }
-  return out;
-}
-
 bool IsDecimalDigits(const std::string& s) {
   return !s.empty() && std::all_of(s.begin(), s.end(), [](char c) {
     return c >= '0' && c <= '9';
   });
-}
-
-std::string Trim(const std::string& s) {
-  size_t b = 0;
-  size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
-std::string ToLower(const std::string& s) {
-  std::string out = s;
-  for (char& c : out) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  return out;
-}
-
-bool StartsWith(const std::string& s, const std::string& prefix) {
-  return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
-}
-
-bool EndsWith(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
 }
 
 std::string FormatDouble(double value, int precision) {

@@ -10,24 +10,10 @@ namespace fab {
 /// output always has (number of delimiters + 1) entries.
 std::vector<std::string> Split(const std::string& s, char delim);
 
-/// Joins `parts` with `delim` between consecutive elements.
-std::string Join(const std::vector<std::string>& parts,
-                 const std::string& delim);
-
 /// True when `s` is a plain decimal number: one or more ASCII digits and
 /// nothing else (no sign, space, point or suffix). util::EnvThreads and
 /// core::ExperimentConfig::FromEnv read their numeric knobs by this rule.
 bool IsDecimalDigits(const std::string& s);
-
-/// Copy of `s` with leading/trailing ASCII whitespace removed.
-std::string Trim(const std::string& s);
-
-/// ASCII lower-cased copy.
-std::string ToLower(const std::string& s);
-
-/// True when `s` begins with `prefix` / ends with `suffix`.
-bool StartsWith(const std::string& s, const std::string& prefix);
-bool EndsWith(const std::string& s, const std::string& suffix);
 
 /// Formats a double with `precision` decimal places ("%.*f").
 std::string FormatDouble(double value, int precision);

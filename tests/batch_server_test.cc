@@ -106,7 +106,6 @@ class SlowRegressor : public ml::Regressor {
     std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms_));
     return std::vector<double>(x.rows(), value_);
   }
-  Status SetParam(const std::string&, double) override { return Status::OK(); }
   std::unique_ptr<ml::Regressor> CloneUnfitted() const override {
     return std::make_unique<SlowRegressor>(delay_ms_, value_);
   }
@@ -571,7 +570,7 @@ TEST(BatchServerTest, StartAfterShutdownRevivesServer) {
   server.Start();
   Forecasts revived = Forecast(server, servable, RowOf(queries, 1));
   ASSERT_TRUE(revived.ok());
-  EXPECT_EQ(*revived, std::vector<double>{servable->PredictOne(queries, 1)});
+  EXPECT_EQ(*revived, std::vector<double>{servable->Predict(queries)[1]});
   // Stats carried over across the restart: both eras are counted.
   EXPECT_GE(server.Stats().requests_completed, 2u);
 }

@@ -29,23 +29,6 @@ TEST(ColumnTest, SetAndSetNull) {
   EXPECT_TRUE(c.is_null(1));
 }
 
-TEST(ColumnTest, AppendMixed) {
-  Column c;
-  c.Append(1.0);
-  c.AppendNull();
-  c.Append(3.0);
-  EXPECT_EQ(c.size(), 3u);
-  EXPECT_EQ(c.null_count(), 1u);
-  EXPECT_EQ(c.ValidValues(), (std::vector<double>{1.0, 3.0}));
-}
-
-TEST(ColumnTest, DistinctValidCount) {
-  Column c(std::vector<double>{1, 2, 2, 3, 3, 3});
-  EXPECT_EQ(c.distinct_valid_count(), 3u);
-  c.SetNull(0);
-  EXPECT_EQ(c.distinct_valid_count(), 2u);
-}
-
 TEST(ColumnTest, LongestFlatRun) {
   Column c(std::vector<double>{1, 1, 1, 2, 2, 1});
   EXPECT_EQ(c.longest_flat_run(), 3u);

@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <string>
 
 namespace fab::table {
 namespace {
@@ -13,115 +15,47 @@ class CsvTest : public ::testing::Test {
   std::string TempPath(const std::string& name) {
     return ::testing::TempDir() + "fab_csv_" + name;
   }
+
+  static std::string ReadFile(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+  }
 };
 
-TEST_F(CsvTest, RoundTripWithNulls) {
-  auto t = Table::Create(DailyRange(Date(2021, 3, 1), Date(2021, 3, 4)));
-  Column a(std::vector<double>{1.5, -2.25, 1e-9, 3.14159265358979});
-  a.SetNull(2);
+TEST_F(CsvTest, WritesHeaderNullsAndFullPrecision) {
+  auto t = Table::Create(DailyRange(Date(2021, 3, 1), Date(2021, 3, 3)));
+  Column a(std::vector<double>{1.5, -2.25, 0.1 + 0.2});
+  a.SetNull(1);
   ASSERT_TRUE(t->AddColumn("alpha", std::move(a)).ok());
-  ASSERT_TRUE(t->AddColumn("beta", std::vector<double>{10, 20, 30, 40}).ok());
-
-  const std::string path = TempPath("roundtrip.csv");
+  ASSERT_TRUE(t->AddColumn("beta", std::vector<double>{10, 1e-9, -0.0}).ok());
+  const std::string path = TempPath("written.csv");
   ASSERT_TRUE(WriteCsv(*t, path).ok());
-  auto back = ReadCsv(path);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->num_rows(), 4u);
-  EXPECT_EQ(back->column_names(), t->column_names());
-  EXPECT_EQ(back->index(), t->index());
-  const Column* alpha = *back->GetColumn("alpha");
-  EXPECT_TRUE(alpha->EqualsExactly(**t->GetColumn("alpha")));
+  EXPECT_EQ(ReadFile(path),
+            "date,alpha,beta\n"
+            "2021-03-01,1.5,10\n"
+            "2021-03-02,,1.0000000000000001e-09\n"
+            "2021-03-03,0.30000000000000004,-0\n");
   std::remove(path.c_str());
-}
 
-TEST_F(CsvTest, RoundTripPreservesFullPrecision) {
-  auto t = Table::Create(DailyRange(Date(2021, 1, 1), Date(2021, 1, 1)));
-  const double value = 0.1 + 0.2;  // not exactly representable as text
-  ASSERT_TRUE(t->AddColumn("v", std::vector<double>{value}).ok());
-  const std::string path = TempPath("precision.csv");
-  ASSERT_TRUE(WriteCsv(*t, path).ok());
-  auto back = ReadCsv(path);
-  ASSERT_TRUE(back.ok());
-  EXPECT_DOUBLE_EQ((*back->GetColumn("v"))->value(0), value);
-  std::remove(path.c_str());
-}
+  // No rows: the header alone.
+  auto empty = Table::Create({});
+  ASSERT_TRUE(empty->AddColumn("v", std::vector<double>{}).ok());
+  const std::string empty_path = TempPath("header_only.csv");
+  ASSERT_TRUE(WriteCsv(*empty, empty_path).ok());
+  EXPECT_EQ(ReadFile(empty_path), "date,v\n");
 
-TEST_F(CsvTest, ReadRejectsMissingFile) {
-  EXPECT_FALSE(ReadCsv("/nonexistent/dir/file.csv").ok());
-}
-
-TEST_F(CsvTest, ReadRejectsBadHeader) {
-  const std::string path = TempPath("badheader.csv");
-  std::ofstream(path) << "time,a\n2020-01-01,1\n";
-  EXPECT_FALSE(ReadCsv(path).ok());
-  std::remove(path.c_str());
-}
-
-TEST_F(CsvTest, ReadRejectsWrongFieldCount) {
-  const std::string path = TempPath("badrow.csv");
-  std::ofstream(path) << "date,a,b\n2020-01-01,1\n";
-  EXPECT_FALSE(ReadCsv(path).ok());
-  std::remove(path.c_str());
-}
-
-TEST_F(CsvTest, ReadRejectsNonNumericField) {
-  const std::string path = TempPath("nonnumeric.csv");
-  std::ofstream(path) << "date,a\n2020-01-01,hello\n";
-  EXPECT_FALSE(ReadCsv(path).ok());
-  std::remove(path.c_str());
-}
-
-TEST_F(CsvTest, ReadRejectsBadDate) {
-  const std::string path = TempPath("baddate.csv");
-  std::ofstream(path) << "date,a\n2020-13-01,1\n";
-  EXPECT_FALSE(ReadCsv(path).ok());
-  std::remove(path.c_str());
-}
-
-TEST_F(CsvTest, ReadHandlesCrlfAndBom) {
-  const std::string path = TempPath("crlf.csv");
-  std::ofstream(path) << "\xEF\xBB\xBF"
-                      << "date,a\r\n2020-01-01,1\r\n2020-01-02,2\r\n";
-  auto t = ReadCsv(path);
-  ASSERT_TRUE(t.ok());
-  EXPECT_EQ(t->num_rows(), 2u);
-  EXPECT_DOUBLE_EQ((*t->GetColumn("a"))->value(1), 2.0);
-  std::remove(path.c_str());
-}
-
-TEST_F(CsvTest, ReadSkipsBlankLines) {
-  const std::string path = TempPath("blank.csv");
-  std::ofstream(path) << "date,a\n2020-01-01,1\n\n2020-01-02,2\n";
-  auto t = ReadCsv(path);
-  ASSERT_TRUE(t.ok());
-  EXPECT_EQ(t->num_rows(), 2u);
-  std::remove(path.c_str());
-}
-
-TEST_F(CsvTest, EmptyFieldBecomesNull) {
-  const std::string path = TempPath("nulls.csv");
-  std::ofstream(path) << "date,a,b\n2020-01-01,,5\n";
-  auto t = ReadCsv(path);
-  ASSERT_TRUE(t.ok());
-  EXPECT_TRUE((*t->GetColumn("a"))->is_null(0));
-  EXPECT_DOUBLE_EQ((*t->GetColumn("b"))->value(0), 5.0);
-  std::remove(path.c_str());
+  // No columns: the dates alone.
+  auto dates_only =
+      Table::Create(DailyRange(Date(2020, 1, 1), Date(2020, 1, 2)));
+  ASSERT_TRUE(WriteCsv(*dates_only, empty_path).ok());
+  EXPECT_EQ(ReadFile(empty_path), "date\n2020-01-01\n2020-01-02\n");
+  std::remove(empty_path.c_str());
 }
 
 TEST_F(CsvTest, WriteFailsOnBadPath) {
   auto t = Table::Create(DailyRange(Date(2020, 1, 1), Date(2020, 1, 1)));
   EXPECT_FALSE(WriteCsv(*t, "/nonexistent/dir/out.csv").ok());
-}
-
-TEST_F(CsvTest, EmptyTableRoundTrips) {
-  auto t = Table::Create(DailyRange(Date(2020, 1, 1), Date(2020, 1, 2)));
-  const std::string path = TempPath("empty.csv");
-  ASSERT_TRUE(WriteCsv(*t, path).ok());
-  auto back = ReadCsv(path);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back->num_rows(), 2u);
-  EXPECT_EQ(back->num_columns(), 0u);
-  std::remove(path.c_str());
 }
 
 }  // namespace

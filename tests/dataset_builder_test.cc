@@ -58,15 +58,11 @@ TEST_F(DatasetBuilderTest, TechnicalIndicatorsAreIdempotentGuarded) {
 }
 
 TEST_F(DatasetBuilderTest, RejectsBadWindow) {
-  ScenarioOptions options;
-  EXPECT_FALSE(
-      BuildScenarioDataset(*market_, StudyPeriod::k2017, 0, options).ok());
+  EXPECT_FALSE(BuildScenarioDataset(*market_, StudyPeriod::k2017, 0).ok());
 }
 
 TEST_F(DatasetBuilderTest, Scenario2017ExcludesUsdc) {
-  ScenarioOptions options;
-  const auto scenario =
-      BuildScenarioDataset(*market_, StudyPeriod::k2017, 7, options);
+  const auto scenario = BuildScenarioDataset(*market_, StudyPeriod::k2017, 7);
   ASSERT_TRUE(scenario.ok());
   EXPECT_EQ(scenario->CandidatesInCategory(sim::DataCategory::kOnChainUsdc),
             0u);
@@ -76,19 +72,16 @@ TEST_F(DatasetBuilderTest, Scenario2017ExcludesUsdc) {
 }
 
 TEST_F(DatasetBuilderTest, Scenario2019IncludesUsdc) {
-  ScenarioOptions options;
-  const auto scenario =
-      BuildScenarioDataset(*market_, StudyPeriod::k2019, 7, options);
+  const auto scenario = BuildScenarioDataset(*market_, StudyPeriod::k2019, 7);
   ASSERT_TRUE(scenario.ok());
   EXPECT_GT(scenario->CandidatesInCategory(sim::DataCategory::kOnChainUsdc),
             30u);
 }
 
 TEST_F(DatasetBuilderTest, TargetIsCrypto100ShiftedByWindow) {
-  ScenarioOptions options;
   const int window = 30;
   const auto scenario =
-      BuildScenarioDataset(*market_, StudyPeriod::k2019, window, options);
+      BuildScenarioDataset(*market_, StudyPeriod::k2019, window);
   ASSERT_TRUE(scenario.ok());
   const auto index = Crypto100Series(market_->top100_mcap_sum);
   for (size_t r = 0; r < scenario->data.num_rows(); r += 101) {
@@ -101,18 +94,14 @@ TEST_F(DatasetBuilderTest, TargetIsCrypto100ShiftedByWindow) {
 }
 
 TEST_F(DatasetBuilderTest, RowsEndEarlyEnoughForTarget) {
-  ScenarioOptions options;
-  const auto scenario =
-      BuildScenarioDataset(*market_, StudyPeriod::k2019, 180, options);
+  const auto scenario = BuildScenarioDataset(*market_, StudyPeriod::k2019, 180);
   ASSERT_TRUE(scenario.ok());
   // The last retained row needs a target 180 days ahead within the sim.
   EXPECT_LE(scenario->dates.back().AddDays(180), market_->latent.dates.back());
 }
 
 TEST_F(DatasetBuilderTest, NoMissingValuesSurvive) {
-  ScenarioOptions options;
-  const auto scenario =
-      BuildScenarioDataset(*market_, StudyPeriod::k2017, 1, options);
+  const auto scenario = BuildScenarioDataset(*market_, StudyPeriod::k2017, 1);
   ASSERT_TRUE(scenario.ok());
   // Everything was densified; sizes are consistent.
   EXPECT_EQ(scenario->data.x.rows(), scenario->data.y.size());
@@ -122,17 +111,13 @@ TEST_F(DatasetBuilderTest, NoMissingValuesSurvive) {
 }
 
 TEST_F(DatasetBuilderTest, LongerWindowMeansFewerRows) {
-  ScenarioOptions options;
-  const auto w1 = BuildScenarioDataset(*market_, StudyPeriod::k2019, 1, options);
-  const auto w180 =
-      BuildScenarioDataset(*market_, StudyPeriod::k2019, 180, options);
+  const auto w1 = BuildScenarioDataset(*market_, StudyPeriod::k2019, 1);
+  const auto w180 = BuildScenarioDataset(*market_, StudyPeriod::k2019, 180);
   EXPECT_GT(w1->data.num_rows(), w180->data.num_rows());
 }
 
 TEST_F(DatasetBuilderTest, CategoryHelpersConsistent) {
-  ScenarioOptions options;
-  const auto scenario =
-      BuildScenarioDataset(*market_, StudyPeriod::k2019, 7, options);
+  const auto scenario = BuildScenarioDataset(*market_, StudyPeriod::k2019, 7);
   size_t total = 0;
   for (sim::DataCategory c : sim::AllCategories()) {
     const auto positions = scenario->FeaturePositionsInCategory(c);
@@ -202,20 +187,6 @@ TEST_F(DatasetBuilderTest, IndicatorKernelsSurviveDegenerateSeries) {
   ExpectFiniteOrNull(ta::Drawdown(zeroed), "DRAWDOWN through zero");
 }
 
-TEST_F(DatasetBuilderTest, VwapWithZeroVolumeWindowIsNullNotSentinel) {
-  const size_t n = 60;
-  std::vector<double> price(n, 100.0);
-  std::vector<double> volume(n, 50.0);
-  for (size_t i = 20; i < 40; ++i) volume[i] = 0.0;  // exchange outage
-  const table::Column vwap = ta::RollingVwap(price, price, price, volume, 10);
-  ExpectFiniteOrNull(vwap, "VWAP outage");
-  // Windows fully inside the outage have no traded volume: null, not a
-  // price of $0.
-  EXPECT_TRUE(vwap.is_null(35));
-  EXPECT_DOUBLE_EQ(vwap.value(15), 100.0);
-  EXPECT_DOUBLE_EQ(vwap.value(55), 100.0);
-}
-
 TEST_F(DatasetBuilderTest, OutageStressedMarketBuildsFiniteDataset) {
   sim::MarketSimConfig config;
   config.seed = 99;
@@ -224,9 +195,7 @@ TEST_F(DatasetBuilderTest, OutageStressedMarketBuildsFiniteDataset) {
   auto stressed = sim::SimulateMarket(config);
   ASSERT_TRUE(stressed.ok());
   ASSERT_TRUE(AddTechnicalIndicators(&*stressed).ok());
-  ScenarioOptions options;
-  const auto scenario =
-      BuildScenarioDataset(*stressed, StudyPeriod::k2019, 7, options);
+  const auto scenario = BuildScenarioDataset(*stressed, StudyPeriod::k2019, 7);
   ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
   for (size_t c = 0; c < scenario->data.num_features(); ++c) {
     const std::span<const double> col = scenario->data.x.column(c);
@@ -239,9 +208,7 @@ TEST_F(DatasetBuilderTest, OutageStressedMarketBuildsFiniteDataset) {
 }
 
 TEST_F(DatasetBuilderTest, DatesStrictlyIncreasing) {
-  ScenarioOptions options;
-  const auto scenario =
-      BuildScenarioDataset(*market_, StudyPeriod::k2017, 7, options);
+  const auto scenario = BuildScenarioDataset(*market_, StudyPeriod::k2017, 7);
   for (size_t r = 1; r < scenario->dates.size(); ++r) {
     EXPECT_LT(scenario->dates[r - 1], scenario->dates[r]);
   }

@@ -24,20 +24,6 @@ TEST(DateTest, CivilRoundTrip) {
   EXPECT_EQ(d.day(), 30);
 }
 
-TEST(DateTest, LeapYearFebruary) {
-  EXPECT_TRUE(Date::IsValidCivil(2020, 2, 29));
-  EXPECT_FALSE(Date::IsValidCivil(2021, 2, 29));
-  EXPECT_TRUE(Date::IsValidCivil(2000, 2, 29));   // divisible by 400
-  EXPECT_FALSE(Date::IsValidCivil(1900, 2, 29));  // divisible by 100 only
-}
-
-TEST(DateTest, InvalidCivilRejected) {
-  EXPECT_FALSE(Date::IsValidCivil(2020, 0, 1));
-  EXPECT_FALSE(Date::IsValidCivil(2020, 13, 1));
-  EXPECT_FALSE(Date::IsValidCivil(2020, 4, 31));
-  EXPECT_FALSE(Date::IsValidCivil(2020, 1, 0));
-}
-
 TEST(DateTest, AddDaysCrossesMonthAndYear) {
   EXPECT_EQ(Date(2020, 12, 31).AddDays(1), Date(2021, 1, 1));
   EXPECT_EQ(Date(2020, 2, 28).AddDays(1), Date(2020, 2, 29));
@@ -58,34 +44,9 @@ TEST(DateTest, Ordering) {
   EXPECT_NE(Date(2021, 1, 1), Date(2020, 1, 1));
 }
 
-TEST(DateTest, DayOfWeek) {
-  EXPECT_EQ(Date(1970, 1, 1).day_of_week(), 4);  // Thursday
-  EXPECT_EQ(Date(2024, 1, 1).day_of_week(), 1);  // Monday
-  EXPECT_EQ(Date(2023, 6, 25).day_of_week(), 7); // Sunday
-}
-
 TEST(DateTest, ToStringFormatsIso) {
   EXPECT_EQ(Date(2017, 1, 1).ToString(), "2017-01-01");
   EXPECT_EQ(Date(2023, 12, 9).ToString(), "2023-12-09");
-}
-
-TEST(DateTest, FromStringParsesIso) {
-  auto d = Date::FromString("2019-07-04");
-  ASSERT_TRUE(d.ok());
-  EXPECT_EQ(*d, Date(2019, 7, 4));
-}
-
-TEST(DateTest, FromStringRejectsGarbage) {
-  EXPECT_FALSE(Date::FromString("not a date").ok());
-  EXPECT_FALSE(Date::FromString("2019-13-04").ok());
-  EXPECT_FALSE(Date::FromString("2019-02-30").ok());
-  EXPECT_FALSE(Date::FromString("2019-07-04x").ok());
-  EXPECT_FALSE(Date::FromString("").ok());
-}
-
-TEST(DateTest, StringRoundTrip) {
-  const Date d(1999, 11, 21);
-  EXPECT_EQ(*Date::FromString(d.ToString()), d);
 }
 
 TEST(DailyRangeTest, InclusiveBounds) {

@@ -95,9 +95,6 @@ TEST(FlatForestTest, RejectsNonEnsembleModels) {
     double PredictOne(const ml::ColMatrix&, size_t) const override {
       return 0.0;
     }
-    Status SetParam(const std::string&, double) override {
-      return Status::OK();
-    }
     std::unique_ptr<ml::Regressor> CloneUnfitted() const override {
       return nullptr;
     }

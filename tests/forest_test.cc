@@ -128,18 +128,6 @@ TEST(ForestTest, MoreTreesReduceVariance) {
   EXPECT_LT(mse_large, mse_small);
 }
 
-TEST(ForestTest, SetParamUpdatesAndValidates) {
-  RandomForestRegressor rf;
-  EXPECT_TRUE(rf.SetParam("n_trees", 7).ok());
-  EXPECT_TRUE(rf.SetParam("max_depth", 3).ok());
-  EXPECT_TRUE(rf.SetParam("min_samples_leaf", 4).ok());
-  EXPECT_TRUE(rf.SetParam("max_features", 0.5).ok());
-  EXPECT_TRUE(rf.SetParam("seed", 42).ok());
-  EXPECT_FALSE(rf.SetParam("bogus", 1).ok());
-  EXPECT_EQ(rf.params().n_trees, 7);
-  EXPECT_EQ(rf.params().max_depth, 3);
-}
-
 TEST(ForestTest, CloneUnfittedCopiesParams) {
   ForestParams params;
   params.n_trees = 13;

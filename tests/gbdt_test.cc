@@ -120,20 +120,6 @@ TEST(GbdtTest, StrongLambdaRegularizesPredictions) {
   EXPECT_LT(spread_strong, 0.2 * spread_weak);
 }
 
-TEST(GbdtTest, SetParamUpdatesAndValidates) {
-  GbdtRegressor xgb;
-  EXPECT_TRUE(xgb.SetParam("n_rounds", 11).ok());
-  EXPECT_TRUE(xgb.SetParam("learning_rate", 0.05).ok());
-  EXPECT_TRUE(xgb.SetParam("max_depth", 6).ok());
-  EXPECT_TRUE(xgb.SetParam("lambda", 2.0).ok());
-  EXPECT_TRUE(xgb.SetParam("gamma", 0.1).ok());
-  EXPECT_TRUE(xgb.SetParam("subsample", 0.8).ok());
-  EXPECT_TRUE(xgb.SetParam("colsample", 0.7).ok());
-  EXPECT_FALSE(xgb.SetParam("bogus", 1).ok());
-  EXPECT_EQ(xgb.params().n_rounds, 11);
-  EXPECT_DOUBLE_EQ(xgb.params().learning_rate, 0.05);
-}
-
 TEST(GbdtTest, CloneUnfittedCopiesParams) {
   GbdtParams params;
   params.n_rounds = 33;

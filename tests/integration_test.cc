@@ -28,9 +28,8 @@ class IntegrationTest : public ::testing::Test {
     market_ = std::make_unique<sim::SimulatedMarket>(
         std::move(sim::SimulateMarket(config)).value());
     ASSERT_TRUE(AddTechnicalIndicators(market_.get()).ok());
-    ScenarioOptions options;
     scenario_ = std::make_unique<ScenarioDataset>(std::move(
-        BuildScenarioDataset(*market_, StudyPeriod::k2019, 30, options))
+        BuildScenarioDataset(*market_, StudyPeriod::k2019, 30))
                                                       .value());
   }
   static void TearDownTestSuite() {

@@ -134,19 +134,18 @@ TEST(MlpTest, ImportancesNormalizedAndInformative) {
   EXPECT_GT((*pfi)[1], 10.0 * std::max(1e-9, (*pfi)[0]));
 }
 
-TEST(MlpTest, SetParamAndClone) {
-  MlpRegressor mlp;
-  EXPECT_TRUE(mlp.SetParam("epochs", 5).ok());
-  EXPECT_TRUE(mlp.SetParam("learning_rate", 0.01).ok());
-  EXPECT_TRUE(mlp.SetParam("hidden_width", 16).ok());
-  EXPECT_FALSE(mlp.SetParam("bogus", 0).ok());
-  EXPECT_EQ(mlp.params().epochs, 5);
-  EXPECT_EQ(mlp.params().hidden, (std::vector<int>{16, 8}));
+TEST(MlpTest, CloneUnfittedCopiesParams) {
+  MlpParams params;
+  params.epochs = 5;
+  params.hidden = {16, 8};
+  MlpRegressor mlp(params);
   auto clone = mlp.CloneUnfitted();
   EXPECT_EQ(clone->name(), "mlp");
   auto* typed = dynamic_cast<MlpRegressor*>(clone.get());
   ASSERT_NE(typed, nullptr);
   EXPECT_EQ(typed->params().epochs, 5);
+  EXPECT_EQ(typed->params().hidden, (std::vector<int>{16, 8}));
+  EXPECT_FALSE(typed->fitted());
 }
 
 TEST(MlpTest, UnfittedPredictsZeroAndEmptyImportances) {

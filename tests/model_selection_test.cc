@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <set>
 
 #include "ml/forest.h"
@@ -63,20 +62,6 @@ INSTANTIATE_TEST_SUITE_P(Shapes, KFoldSweep,
                                            std::make_pair(101, 5),
                                            std::make_pair(7, 7)));
 
-TEST(ExpandGridTest, CartesianProduct) {
-  const auto grid = ExpandGrid({{"a", {1, 2}}, {"b", {10, 20, 30}}});
-  EXPECT_EQ(grid.size(), 6u);
-  std::set<std::pair<double, double>> combos;
-  for (const auto& p : grid) combos.insert({p.at("a"), p.at("b")});
-  EXPECT_EQ(combos.size(), 6u);
-}
-
-TEST(ExpandGridTest, EmptyGridIsSinglePoint) {
-  const auto grid = ExpandGrid({});
-  ASSERT_EQ(grid.size(), 1u);
-  EXPECT_TRUE(grid[0].empty());
-}
-
 Dataset MakeDataset(size_t n, uint64_t seed) {
   Rng rng(seed);
   std::vector<double> c0(n), c1(n), y(n);
@@ -110,35 +95,6 @@ TEST(CrossValMseTest, RejectsEmptyFolds) {
   const Dataset d = MakeDataset(50, 5);
   RandomForestRegressor rf;
   EXPECT_FALSE(CrossValMse(rf, d, {}).ok());
-}
-
-TEST(GridSearchTest, FindsBetterOfTwoConfigs) {
-  const Dataset d = MakeDataset(400, 7);
-  ForestParams params;
-  params.n_trees = 15;
-  RandomForestRegressor prototype(params);
-  // Depth 1 underfits badly vs depth 7.
-  const auto grid = ExpandGrid({{"max_depth", {1, 7}}});
-  const auto result = GridSearchCV(prototype, d, grid, 4, 11);
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->all_mse.size(), 2u);
-  EXPECT_DOUBLE_EQ(result->best_params.at("max_depth"), 7.0);
-  EXPECT_LE(result->best_mse,
-            *std::min_element(result->all_mse.begin(), result->all_mse.end()) +
-                1e-12);
-}
-
-TEST(GridSearchTest, RejectsEmptyGrid) {
-  const Dataset d = MakeDataset(50, 9);
-  RandomForestRegressor rf;
-  EXPECT_FALSE(GridSearchCV(rf, d, {}, 3, 0).ok());
-}
-
-TEST(GridSearchTest, PropagatesUnknownParam) {
-  const Dataset d = MakeDataset(50, 9);
-  RandomForestRegressor rf;
-  const std::vector<ParamPoint> grid{{{"not_a_param", 1.0}}};
-  EXPECT_FALSE(GridSearchCV(rf, d, grid, 3, 0).ok());
 }
 
 }  // namespace

@@ -53,22 +53,6 @@ TEST(EmaTest, ConvergesToNewLevelAfterStep) {
   EXPECT_NEAR(out.value(199), 20.0, 1e-6);
 }
 
-TEST(WmaTest, KnownValues) {
-  // WMA of {1,2,3} with window 3: (1*1 + 2*2 + 3*3)/6 = 14/6.
-  const table::Column out = Wma({1, 2, 3}, 3);
-  EXPECT_NEAR(out.value(2), 14.0 / 6.0, 1e-12);
-}
-
-TEST(WmaTest, WeightsRecentMoreThanSma) {
-  // Rising series: WMA > SMA because recent (larger) values weigh more.
-  const std::vector<double> rising{1, 2, 3, 4, 5, 6};
-  const table::Column wma = Wma(rising, 4);
-  const table::Column sma = Sma(rising, 4);
-  for (size_t i = 3; i < rising.size(); ++i) {
-    EXPECT_GT(wma.value(i), sma.value(i));
-  }
-}
-
 class MaWindowSweep : public ::testing::TestWithParam<int> {
  protected:
   std::vector<double> RandomWalk(size_t n, uint64_t seed) {
@@ -88,7 +72,6 @@ TEST_P(MaWindowSweep, AveragesStayWithinRollingRange) {
   const std::vector<double> series = RandomWalk(300, 17);
   const table::Column sma = Sma(series, w);
   const table::Column ema = Ema(series, w);
-  const table::Column wma = Wma(series, w);
   for (size_t i = static_cast<size_t>(w) - 1; i < series.size(); ++i) {
     double lo = series[i];
     double hi = series[i];
@@ -98,8 +81,6 @@ TEST_P(MaWindowSweep, AveragesStayWithinRollingRange) {
     }
     EXPECT_GE(sma.value(i), lo);
     EXPECT_LE(sma.value(i), hi);
-    EXPECT_GE(wma.value(i), lo);
-    EXPECT_LE(wma.value(i), hi);
     (void)ema;  // EMA can exceed the window range slightly via its memory.
   }
 }

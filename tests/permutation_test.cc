@@ -102,9 +102,6 @@ class Forwarding : public ml::Regressor {
   std::vector<double> Predict(const ml::ColMatrix& x) const override {
     return model_.Predict(x);
   }
-  Status SetParam(const std::string&, double) override {
-    return Status::FailedPrecondition("forwarding only");
-  }
   std::unique_ptr<ml::Regressor> CloneUnfitted() const override {
     return nullptr;
   }

@@ -39,15 +39,6 @@ TEST(RngTest, UniformInUnitInterval) {
   }
 }
 
-TEST(RngTest, UniformRangeRespectsBounds) {
-  Rng rng(8);
-  for (int i = 0; i < 1000; ++i) {
-    const double u = rng.Uniform(-3.0, 5.0);
-    EXPECT_GE(u, -3.0);
-    EXPECT_LT(u, 5.0);
-  }
-}
-
 TEST(RngTest, UniformIntCoversAllValues) {
   Rng rng(9);
   std::set<uint64_t> seen;
@@ -70,14 +61,6 @@ TEST(RngTest, NormalWithParamsShiftsAndScales) {
   for (auto& s : samples) s = rng.Normal(10.0, 3.0);
   EXPECT_NEAR(stats::Mean(samples), 10.0, 0.1);
   EXPECT_NEAR(stats::StdDev(samples), 3.0, 0.1);
-}
-
-TEST(RngTest, ExponentialMeanMatchesRate) {
-  Rng rng(13);
-  std::vector<double> samples(50000);
-  for (auto& s : samples) s = rng.Exponential(2.0);
-  EXPECT_NEAR(stats::Mean(samples), 0.5, 0.02);
-  EXPECT_GT(stats::Min(samples), 0.0);
 }
 
 TEST(RngTest, GammaMeanAndVarianceMatch) {
@@ -116,26 +99,6 @@ TEST(RngTest, BernoulliFrequencyMatches) {
   EXPECT_NEAR(hits / 50000.0, 0.3, 0.01);
 }
 
-TEST(RngTest, PoissonMeanMatches) {
-  Rng rng(18);
-  double sum = 0.0;
-  for (int i = 0; i < 20000; ++i) sum += rng.Poisson(4.5);
-  EXPECT_NEAR(sum / 20000.0, 4.5, 0.1);
-}
-
-TEST(RngTest, PoissonLargeMeanUsesNormalApproximation) {
-  Rng rng(19);
-  double sum = 0.0;
-  for (int i = 0; i < 20000; ++i) sum += rng.Poisson(100.0);
-  EXPECT_NEAR(sum / 20000.0, 100.0, 1.0);
-}
-
-TEST(RngTest, PoissonZeroMeanIsZero) {
-  Rng rng(20);
-  EXPECT_EQ(rng.Poisson(0.0), 0);
-  EXPECT_EQ(rng.Poisson(-1.0), 0);
-}
-
 TEST(RngTest, ShuffleIsPermutation) {
   Rng rng(21);
   std::vector<int> v(100);
@@ -145,35 +108,6 @@ TEST(RngTest, ShuffleIsPermutation) {
   EXPECT_NE(shuffled, v);  // astronomically unlikely to match
   std::sort(shuffled.begin(), shuffled.end());
   EXPECT_EQ(shuffled, v);
-}
-
-TEST(RngTest, SampleWithReplacementInRange) {
-  Rng rng(22);
-  const std::vector<int> sample = rng.SampleWithReplacement(10, 1000);
-  EXPECT_EQ(sample.size(), 1000u);
-  for (int s : sample) {
-    EXPECT_GE(s, 0);
-    EXPECT_LT(s, 10);
-  }
-}
-
-TEST(RngTest, SampleWithoutReplacementIsDistinct) {
-  Rng rng(23);
-  const std::vector<int> sample = rng.SampleWithoutReplacement(50, 20);
-  EXPECT_EQ(sample.size(), 20u);
-  std::set<int> distinct(sample.begin(), sample.end());
-  EXPECT_EQ(distinct.size(), 20u);
-  for (int s : sample) {
-    EXPECT_GE(s, 0);
-    EXPECT_LT(s, 50);
-  }
-}
-
-TEST(RngTest, SampleWithoutReplacementFullSetIsPermutation) {
-  Rng rng(24);
-  std::vector<int> sample = rng.SampleWithoutReplacement(10, 10);
-  std::sort(sample.begin(), sample.end());
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(sample[static_cast<size_t>(i)], i);
 }
 
 TEST(RngTest, ForkProducesStableChildSeeds) {

@@ -52,13 +52,6 @@ TEST(UnionTest, PreservesFirstAppearanceOrder) {
   EXPECT_EQ(UnionNames({}, {"x", "x"}), (std::vector<std::string>{"x"}));
 }
 
-TEST(DifferenceTest, RemovesSecondListMembers) {
-  EXPECT_EQ(DifferenceNames({"a", "b", "c"}, {"b"}),
-            (std::vector<std::string>{"a", "c"}));
-  EXPECT_EQ(DifferenceNames({"a"}, {}), (std::vector<std::string>{"a"}));
-  EXPECT_TRUE(DifferenceNames({}, {"a"}).empty());
-}
-
 TEST(SetAlgebraTest, UnionContainsBothInputs) {
   const std::vector<std::string> a{"x", "y"};
   const std::vector<std::string> b{"y", "z", "w"};

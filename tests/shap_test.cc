@@ -140,38 +140,10 @@ TEST(MeanAbsShapTest, ForestRanksSignalFeatureFirst) {
   EXPECT_GT((*shap)[1], 5.0 * (*shap)[0]);
 }
 
-TEST(MeanAbsShapTest, GbdtEfficiencySumsToPredictionSpread) {
-  Rng rng(21);
-  const size_t n = 300;
-  std::vector<double> c0(n), y(n);
-  for (size_t i = 0; i < n; ++i) {
-    c0[i] = rng.Normal();
-    y[i] = 2.0 * c0[i] + 0.2 * rng.Normal();
-  }
-  auto x = ml::ColMatrix::FromColumns({c0});
-  ml::GbdtParams params;
-  params.n_rounds = 30;
-  params.max_depth = 3;
-  ml::GbdtRegressor xgb(params);
-  ASSERT_TRUE(xgb.Fit(*x, y).ok());
-  const auto shap = MeanAbsShapGbdt(xgb, *x);
-  ASSERT_TRUE(shap.ok());
-  // One informative feature: its mean |phi| is close to the model's mean
-  // absolute deviation from the base score.
-  double mad = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    mad += std::fabs(xgb.PredictOne(*x, i) - xgb.base_score());
-  }
-  mad /= static_cast<double>(n);
-  EXPECT_NEAR((*shap)[0], mad, 0.15 * mad);
-}
-
 TEST(MeanAbsShapTest, UnfittedModelsRejected) {
   ml::RandomForestRegressor rf;
-  ml::GbdtRegressor xgb;
   ml::ColMatrix x(3, 2);
   EXPECT_FALSE(MeanAbsShapForest(rf, x).ok());
-  EXPECT_FALSE(MeanAbsShapGbdt(xgb, x).ok());
 }
 
 class ShapAgreementSweep : public ::testing::TestWithParam<uint64_t> {};

@@ -39,7 +39,6 @@ class SlowRegressor : public ml::Regressor {
     std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms_));
     return std::vector<double>(x.rows(), value_);
   }
-  Status SetParam(const std::string&, double) override { return Status::OK(); }
   std::unique_ptr<ml::Regressor> CloneUnfitted() const override {
     return std::make_unique<SlowRegressor>(delay_ms_, value_);
   }

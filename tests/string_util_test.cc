@@ -18,38 +18,6 @@ TEST(SplitTest, EmptyFieldsPreserved) {
   EXPECT_EQ(Split("", ','), (std::vector<std::string>{""}));
 }
 
-TEST(JoinTest, JoinsWithDelimiter) {
-  EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(Join({}, ","), "");
-  EXPECT_EQ(Join({"solo"}, ","), "solo");
-}
-
-TEST(SplitJoinTest, RoundTrip) {
-  const std::string s = "x,y,,z";
-  EXPECT_EQ(Join(Split(s, ','), ","), s);
-}
-
-TEST(TrimTest, RemovesSurroundingWhitespace) {
-  EXPECT_EQ(Trim("  hello "), "hello");
-  EXPECT_EQ(Trim("\t\nhi\r\n"), "hi");
-  EXPECT_EQ(Trim("nothing"), "nothing");
-  EXPECT_EQ(Trim("   "), "");
-  EXPECT_EQ(Trim(""), "");
-}
-
-TEST(ToLowerTest, LowersAscii) {
-  EXPECT_EQ(ToLower("HeLLo123"), "hello123");
-}
-
-TEST(StartsEndsWithTest, Basic) {
-  EXPECT_TRUE(StartsWith("usdc_SplyCur", "usdc_"));
-  EXPECT_FALSE(StartsWith("SplyCur", "usdc_"));
-  EXPECT_TRUE(EndsWith("EMA20_close", "_close"));
-  EXPECT_FALSE(EndsWith("EMA20_close", "_volume"));
-  EXPECT_TRUE(StartsWith("abc", ""));
-  EXPECT_FALSE(StartsWith("ab", "abc"));
-}
-
 TEST(FormatDoubleTest, Precision) {
   EXPECT_EQ(FormatDouble(3.14159, 2), "3.14");
   EXPECT_EQ(FormatDouble(2.0, 0), "2");

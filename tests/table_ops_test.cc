@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace fab::table {
 namespace {
 
@@ -39,84 +37,26 @@ TEST(InterpolateTest, AllNullStaysNull) {
   EXPECT_EQ(InterpolateLinear(Column(4)).null_count(), 4u);
 }
 
-TEST(ForwardFillTest, CarriesLastValid) {
-  Column c = WithNulls({1, 0, 0, 4}, {1, 2});
-  Column out = ForwardFill(c);
-  EXPECT_DOUBLE_EQ(out.value(1), 1.0);
-  EXPECT_DOUBLE_EQ(out.value(2), 1.0);
-  EXPECT_DOUBLE_EQ(out.value(3), 4.0);
-}
-
-TEST(ForwardFillTest, LeadingNullsStay) {
-  Column out = ForwardFill(WithNulls({0, 2}, {0}));
-  EXPECT_TRUE(out.is_null(0));
-}
-
-TEST(BackwardFillTest, CarriesNextValid) {
-  Column c = WithNulls({0, 0, 3}, {0, 1});
-  Column out = BackwardFill(c);
-  EXPECT_DOUBLE_EQ(out.value(0), 3.0);
-  EXPECT_DOUBLE_EQ(out.value(1), 3.0);
-}
-
-TEST(ShiftTest, PositiveShiftMovesValuesLater) {
-  Column c(std::vector<double>{1, 2, 3, 4});
-  Column out = Shift(c, 2);
-  EXPECT_TRUE(out.is_null(0));
-  EXPECT_TRUE(out.is_null(1));
-  EXPECT_DOUBLE_EQ(out.value(2), 1.0);
-  EXPECT_DOUBLE_EQ(out.value(3), 2.0);
-}
-
-TEST(ShiftTest, NegativeShiftBringsFutureBack) {
-  Column c(std::vector<double>{1, 2, 3, 4});
-  Column out = Shift(c, -1);
-  EXPECT_DOUBLE_EQ(out.value(0), 2.0);
-  EXPECT_DOUBLE_EQ(out.value(2), 4.0);
-  EXPECT_TRUE(out.is_null(3));
-}
-
-TEST(PctChangeTest, ComputesRelativeChange) {
-  Column c(std::vector<double>{100, 110, 99});
-  Column out = PctChange(c, 1);
-  EXPECT_TRUE(out.is_null(0));
-  EXPECT_NEAR(out.value(1), 0.10, 1e-12);
-  EXPECT_NEAR(out.value(2), -0.1, 1e-12);
-}
-
-TEST(PctChangeTest, ZeroBaseIsNull) {
-  Column c(std::vector<double>{0, 5});
-  EXPECT_TRUE(PctChange(c, 1).is_null(1));
-}
-
-TEST(LogReturnTest, MatchesLogRatio) {
-  Column c(std::vector<double>{100, 121});
-  Column out = LogReturn(c, 1);
-  EXPECT_NEAR(out.value(1), std::log(1.21), 1e-12);
-}
-
-TEST(LogReturnTest, NonPositiveIsNull) {
-  Column c(std::vector<double>{-1, 5});
-  EXPECT_TRUE(LogReturn(c, 1).is_null(1));
-}
-
+// Long enough for a constant column to pass the flat-run limit.
 Table MakeCleanableTable() {
-  auto t = Table::Create(DailyRange(Date(2020, 1, 1), Date(2020, 1, 10)));
+  const size_t n = kMaxFlatRun + 20;
+  const Date start(2020, 1, 1);
+  auto t = Table::Create(
+      DailyRange(start, start.AddDays(static_cast<int64_t>(n) - 1)));
+  std::vector<double> ramp(n);
+  for (size_t i = 0; i < n; ++i) ramp[i] = static_cast<double>(i + 1);
   // Good column with one interior gap.
-  Column good(std::vector<double>{1, 2, 3, 4, 5, 6, 7, 8, 9, 10});
+  Column good(ramp);
   good.SetNull(4);
   (void)t->AddColumn("good", std::move(good));
   // Sparse column: 60% nulls.
-  Column sparse(10);
-  sparse.Set(0, 1.0);
-  sparse.Set(1, 2.0);
-  sparse.Set(2, 3.0);
-  sparse.Set(3, 4.0);
+  Column sparse(n);
+  for (size_t i = 0; i < n * 2 / 5; ++i) sparse.Set(i, ramp[i]);
   (void)t->AddColumn("sparse", std::move(sparse));
   // Flat column: constant throughout.
-  (void)t->AddColumn("flat", std::vector<double>(10, 7.0));
+  (void)t->AddColumn("flat", std::vector<double>(n, 7.0));
   // Duplicate of "good".
-  Column dup(std::vector<double>{1, 2, 3, 4, 5, 6, 7, 8, 9, 10});
+  Column dup(ramp);
   dup.SetNull(4);
   (void)t->AddColumn("dup_of_good", std::move(dup));
   return std::move(t).value();
@@ -124,37 +64,14 @@ Table MakeCleanableTable() {
 
 TEST(CleanTableTest, DropsSparseFlatAndDuplicate) {
   Table t = MakeCleanableTable();
-  CleaningOptions options;
-  options.max_null_fraction = 0.3;
-  options.max_flat_run = 5;
-  CleaningReport report = CleanTable(&t, options);
+  CleaningReport report = CleanTable(&t);
   EXPECT_EQ(report.dropped_sparse, std::vector<std::string>{"sparse"});
   EXPECT_EQ(report.dropped_flat, std::vector<std::string>{"flat"});
   EXPECT_EQ(report.dropped_duplicate, std::vector<std::string>{"dup_of_good"});
   EXPECT_EQ(t.column_names(), std::vector<std::string>{"good"});
   // Interior gap interpolated.
   EXPECT_EQ(report.interpolated_cells, 1u);
-  EXPECT_EQ(t.TotalNullCount(), 0u);
-}
-
-TEST(CleanTableTest, RespectsDisabledInterpolation) {
-  Table t = MakeCleanableTable();
-  CleaningOptions options;
-  options.max_null_fraction = 0.3;
-  options.max_flat_run = 5;
-  options.interpolate = false;
-  CleanTable(&t, options);
-  EXPECT_EQ((*t.GetColumn("good"))->null_count(), 1u);
-}
-
-TEST(CleanTableTest, KeepsDuplicatesWhenDisabled) {
-  Table t = MakeCleanableTable();
-  CleaningOptions options;
-  options.max_null_fraction = 0.3;
-  options.max_flat_run = 5;
-  options.drop_duplicates = false;
-  CleanTable(&t, options);
-  EXPECT_TRUE(t.HasColumn("dup_of_good"));
+  EXPECT_EQ((*t.GetColumn("good"))->null_count(), 0u);
 }
 
 TEST(ColumnsStartedByTest, FiltersLateStarters) {

@@ -57,33 +57,6 @@ TEST(TableTest, DropColumnShiftsPositions) {
   EXPECT_FALSE(t.DropColumn("b").ok());
 }
 
-TEST(TableTest, RenameColumn) {
-  Table t = MakeTable(1);
-  ASSERT_TRUE(t.AddColumn("old", std::vector<double>{1}).ok());
-  ASSERT_TRUE(t.RenameColumn("old", "new").ok());
-  EXPECT_TRUE(t.HasColumn("new"));
-  EXPECT_FALSE(t.HasColumn("old"));
-  EXPECT_FALSE(t.RenameColumn("missing", "x").ok());
-  ASSERT_TRUE(t.AddColumn("other", std::vector<double>{2}).ok());
-  EXPECT_EQ(t.RenameColumn("new", "other").code(), StatusCode::kAlreadyExists);
-  EXPECT_TRUE(t.RenameColumn("new", "new").ok());
-}
-
-TEST(TableTest, SetColumnReplacesData) {
-  Table t = MakeTable(2);
-  ASSERT_TRUE(t.AddColumn("a", std::vector<double>{1, 2}).ok());
-  ASSERT_TRUE(t.SetColumn("a", Column(std::vector<double>{9, 8})).ok());
-  EXPECT_DOUBLE_EQ((*t.GetColumn("a"))->value(0), 9.0);
-  EXPECT_FALSE(t.SetColumn("missing", Column(2)).ok());
-  EXPECT_FALSE(t.SetColumn("a", Column(3)).ok());
-}
-
-TEST(TableTest, FindRow) {
-  Table t = MakeTable(5);
-  EXPECT_EQ(t.FindRow(Date(2020, 1, 3)), 2);
-  EXPECT_EQ(t.FindRow(Date(2021, 1, 1)), -1);
-}
-
 TEST(TableTest, SliceRowsByDate) {
   Table t = MakeTable(10);
   ASSERT_TRUE(t.AddColumn("a", std::vector<double>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}).ok());
@@ -108,26 +81,6 @@ TEST(TableTest, SelectColumnsReordersAndSubsets) {
   EXPECT_FALSE(t.SelectColumns({"a", "zzz"}).ok());
 }
 
-TEST(TableTest, InnerJoinIntersectsDates) {
-  auto left = Table::Create(DailyRange(Date(2020, 1, 1), Date(2020, 1, 5)));
-  ASSERT_TRUE(left->AddColumn("a", std::vector<double>{1, 2, 3, 4, 5}).ok());
-  auto right = Table::Create(DailyRange(Date(2020, 1, 4), Date(2020, 1, 8)));
-  ASSERT_TRUE(right->AddColumn("b", std::vector<double>{40, 50, 60, 70, 80}).ok());
-  auto joined = left->InnerJoin(*right);
-  ASSERT_TRUE(joined.ok());
-  ASSERT_EQ(joined->num_rows(), 2u);
-  EXPECT_DOUBLE_EQ((*joined->GetColumn("a"))->value(0), 4.0);
-  EXPECT_DOUBLE_EQ((*joined->GetColumn("b"))->value(0), 40.0);
-}
-
-TEST(TableTest, InnerJoinRejectsDuplicateColumns) {
-  Table a = MakeTable(2);
-  ASSERT_TRUE(a.AddColumn("x", std::vector<double>{1, 2}).ok());
-  Table b = MakeTable(2);
-  ASSERT_TRUE(b.AddColumn("x", std::vector<double>{3, 4}).ok());
-  EXPECT_EQ(a.InnerJoin(b).status().code(), StatusCode::kAlreadyExists);
-}
-
 TEST(TableTest, DropRowsWithNulls) {
   Table t = MakeTable(3);
   Column c(3);
@@ -138,16 +91,8 @@ TEST(TableTest, DropRowsWithNulls) {
   Table clean = t.DropRowsWithNulls();
   ASSERT_EQ(clean.num_rows(), 2u);
   EXPECT_EQ(clean.index()[1], Date(2020, 1, 3));
-  EXPECT_EQ(clean.TotalNullCount(), 0u);
-}
-
-TEST(TableTest, TotalNullCount) {
-  Table t = MakeTable(3);
-  Column c(3);
-  c.Set(0, 1.0);
-  ASSERT_TRUE(t.AddColumn("a", std::move(c)).ok());
-  ASSERT_TRUE(t.AddColumn("b", std::vector<double>{1, 2, 3}).ok());
-  EXPECT_EQ(t.TotalNullCount(), 2u);
+  EXPECT_EQ((*clean.GetColumn("a"))->null_count(), 0u);
+  EXPECT_EQ((*clean.GetColumn("b"))->null_count(), 0u);
 }
 
 }  // namespace

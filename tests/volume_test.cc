@@ -61,45 +61,5 @@ TEST(CmfTest, CloseAtLowGivesNegativeFlow) {
   EXPECT_NEAR(cmf.value(40), -1.0, 1e-12);
 }
 
-TEST(VwapTest, FlatMarketEqualsTypicalPrice) {
-  const size_t n = 40;
-  std::vector<double> high(n, 12.0), low(n, 10.0), close(n, 11.0),
-      volume(n, 100.0);
-  const table::Column vwap = RollingVwap(high, low, close, volume, 10);
-  EXPECT_DOUBLE_EQ(vwap.value(20), 11.0);
-}
-
-TEST(VwapTest, WeightsHighVolumeDays) {
-  // Two price levels; the second has 9x the volume, so VWAP leans there.
-  std::vector<double> close{10, 10, 10, 10, 10, 20, 20, 20, 20, 20};
-  std::vector<double> volume{1, 1, 1, 1, 1, 9, 9, 9, 9, 9};
-  const table::Column vwap =
-      RollingVwap(close, close, close, volume, 10);
-  EXPECT_NEAR(vwap.value(9), (5.0 * 10.0 + 45.0 * 20.0) / 50.0, 1e-12);
-}
-
-TEST(VwapTest, StaysWithinPriceRange) {
-  Rng rng(5);
-  const size_t n = 200;
-  std::vector<double> close(n), high(n), low(n), volume(n);
-  double p = 50.0;
-  double global_lo = 1e18, global_hi = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    p *= std::exp(0.01 * rng.Normal());
-    close[i] = p;
-    high[i] = p * 1.01;
-    low[i] = p * 0.99;
-    volume[i] = 100.0 + 50.0 * rng.Uniform();
-    global_lo = std::min(global_lo, low[i]);
-    global_hi = std::max(global_hi, high[i]);
-  }
-  const table::Column vwap = RollingVwap(high, low, close, volume, 20);
-  for (size_t i = 0; i < n; ++i) {
-    if (vwap.is_null(i)) continue;
-    EXPECT_GE(vwap.value(i), global_lo);
-    EXPECT_LE(vwap.value(i), global_hi);
-  }
-}
-
 }  // namespace
 }  // namespace fab::ta

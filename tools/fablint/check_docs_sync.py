@@ -1,16 +1,24 @@
 #!/usr/bin/env python3
-"""Fails when `fablint --list-rules` and the README rule table drift.
+"""Fails when the docs drift from the code they describe.
 
-The README's static-analysis section documents every rule in a markdown
-table whose first cell is the backticked rule id. This check compares
-that set against the ids the binary actually registers, in both
-directions, so adding a rule without documenting it (or documenting a
-rule that was renamed or removed) fails ctest (`fablint_docs_sync`).
+Two checks, both run by ctest (`fablint_docs_sync`) and the CI fablint job:
+
+- Rule table. The README's static-analysis section documents every rule
+  in a markdown table whose first cell is the backticked rule id. This
+  check compares that set against the ids the binary actually registers,
+  in both directions, so adding a rule without documenting it (or
+  documenting a rule that was renamed or removed) fails.
+- Code names. Every `ns::Name` inside a backticked span of README.md,
+  DESIGN.md or PAPER.md (the files next to --readme), where `ns` is one
+  of the library's namespaces, must end in an identifier that still
+  appears under src/ (next to the docs). A doc that names a deleted
+  function or type fails.
 
 Usage: check_docs_sync.py --fablint <binary> --readme <README.md>
 """
 
 import argparse
+import os
 import re
 import subprocess
 import sys
@@ -29,6 +37,50 @@ def readme_rules(path):
             if match:
                 rules.add(match.group(1))
     return rules
+
+
+# The library's namespaces, top-level and nested (fab::obs, fab::stats).
+_NAMESPACES = ("fab", "core", "ml", "serve", "net", "explain", "sim", "ta",
+               "table", "util", "obs", "stats")
+_SPAN = re.compile(r"`([^`\n]+)`")
+_CODE_NAME = re.compile(
+    r"(?<![\w:])((?:" + "|".join(_NAMESPACES) + r")(?:::[A-Za-z_]\w*)+)")
+_IDENT = re.compile(r"[A-Za-z_]\w*")
+_DOCS = ("README.md", "DESIGN.md", "PAPER.md")
+
+
+def code_names(path):
+    """(line number, name) of every namespaced name in a backticked span."""
+    names = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            for span in _SPAN.findall(line):
+                names.extend((lineno, m.group(1))
+                             for m in _CODE_NAME.finditer(span))
+    return names
+
+
+def source_identifiers(src_dir):
+    idents = set()
+    for root, _, files in os.walk(src_dir):
+        for name in files:
+            with open(os.path.join(root, name), encoding="utf-8",
+                      errors="replace") as fh:
+                idents.update(_IDENT.findall(fh.read()))
+    return idents
+
+
+def stale_code_names(doc_dir):
+    """Doc references whose last component no longer appears in src/."""
+    idents = source_identifiers(os.path.join(doc_dir, "src"))
+    checked = 0
+    stale = []
+    for doc in _DOCS:
+        for lineno, name in code_names(os.path.join(doc_dir, doc)):
+            checked += 1
+            if name.rsplit("::", 1)[1] not in idents:
+                stale.append(f"{doc}:{lineno}: `{name}`")
+    return checked, stale
 
 
 def linter_rules(binary):
@@ -59,9 +111,16 @@ def main():
             "rules documented in the README table but unknown to fablint: "
             + ", ".join(stale)
         )
-    if undocumented or stale:
+    checked, stale_names = stale_code_names(
+        os.path.dirname(os.path.abspath(args.readme)))
+    if stale_names:
+        print("docs name code that no longer exists under src/:")
+        for ref in stale_names:
+            print("  " + ref)
+    if undocumented or stale or stale_names:
         return 1
-    print(f"docs in sync: {len(registered)} rule(s)")
+    print(f"docs in sync: {len(registered)} rule(s), "
+          f"{checked} code name(s)")
     return 0
 
 

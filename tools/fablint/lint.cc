@@ -4,6 +4,8 @@
 #include <cctype>
 #include <set>
 
+#include "repo_graph.h"
+
 namespace fab::lint {
 
 namespace {
@@ -40,20 +42,6 @@ void ForEachToken(const std::string& text, const std::string& word, Fn fn) {
     if (TokenAt(text, pos, word)) fn(pos);
     pos = text.find(word, pos + 1);
   }
-}
-
-bool StartsWith(const std::string& s, const std::string& prefix) {
-  return s.size() >= prefix.size() &&
-         s.compare(0, prefix.size(), prefix) == 0;
-}
-
-bool EndsWith(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
-bool IsHeaderPath(const std::string& rel) {
-  return EndsWith(rel, ".h") || EndsWith(rel, ".hpp") || EndsWith(rel, ".hh");
 }
 
 /// Shared per-file scanning state.
