@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
   options.max_batch = 128;
   fab::serve::BatchServer server(options);
 
-  // Warm up the batch threads and code paths before the measured runs.
+  // Warm up the code paths before the measured runs.
   (void)ServeRowsPerSec(server, servable, queries);
 
   const double serve_off = ServeRowsPerSec(server, servable, queries);

@@ -200,7 +200,7 @@ int main(int argc, char** argv) {
   }
   for (auto& client : clients) client.join();
   const fab::serve::BatchServerStats stats = server.Stats();
-  std::printf("\nBatchServer (%d clients, %d workers, max_batch=%zu):\n",
+  std::printf("\nBatchServer (%d clients, %d runner slots, max_batch=%zu):\n",
               kClients, options.num_threads, options.max_batch);
   std::printf("  %llu requests in %llu batches (mean batch %.1f)\n",
               static_cast<unsigned long long>(stats.requests_completed),

@@ -192,7 +192,9 @@ int main(int argc, char** argv) {
   // --- 3. Stand up the fab::net serving stack. -----------------------------
   net::ShardedRouterOptions router_options;
   router_options.num_shards = 2;
-  router_options.threads_per_shard = 2;
+  // Batches run on the handler threads: 2 shards × 1 slot leaves two of
+  // the four handlers free while both shards are busy.
+  router_options.threads_per_shard = 1;
   router_options.max_batch = 32;
   router_options.max_shard_queue = 256;
   auto router = net::ShardedRouter::Create(&registry, router_options);

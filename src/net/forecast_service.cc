@@ -20,13 +20,14 @@ HttpResponse ErrorResponse(const Status& status) {
       "{\"error\":" + EscapeJson(status.ToString()) + "}");
 }
 
-/// Sends `status` as a JSON error; a 429 carries Retry-After.
+/// Sends `status` as a JSON error. A 429 carries Retry-After, read from
+/// `shard`'s predicted queue wait only then: no other answer pays for it.
 void SendError(const Responder& responder, const Status& status,
-               int retry_after_s) {
+               const ShardedRouter& router, size_t shard) {
   HttpResponse response = ErrorResponse(status);
   if (response.status_code == 429) {
-    response.headers.emplace_back("Retry-After",
-                                  std::to_string(retry_after_s));
+    response.headers.emplace_back(
+        "Retry-After", std::to_string(router.RetryAfterSeconds(shard)));
   }
   responder.Send(std::move(response));
 }
@@ -209,14 +210,15 @@ void ForecastService::HandlePredict(const HttpRequest& request,
     return;
   }
   const size_t shard = router_->ShardFor(body->key);
-  const int retry_after_s = router_->RetryAfterSeconds(shard);
   // One request, one callback: it answers the exchange with every
-  // row's forecast, or with the error that ended the request.
+  // row's forecast, or with the error that ended the request. It may run
+  // on this thread before Submit returns, or on another shard runner.
+  const ShardedRouter* router = router_;
   const Status submitted = router_->Submit(
-      body->key, std::move(body->rows),
-      [responder, shard, retry_after_s](Result<std::vector<double>> result) {
+      shard, body->key, std::move(body->rows),
+      [responder, router, shard](Result<std::vector<double>> result) {
         if (!result.ok()) {
-          SendError(responder, result.status(), retry_after_s);
+          SendError(responder, result.status(), *router, shard);
           return;
         }
         std::string out = "{\"forecasts\":[";
@@ -228,7 +230,7 @@ void ForecastService::HandlePredict(const HttpRequest& request,
         responder.Send(HttpResponse::Json(200, std::move(out)));
       });
   // A refused request never reaches the callback: answer it here.
-  if (!submitted.ok()) SendError(responder, submitted, retry_after_s);
+  if (!submitted.ok()) SendError(responder, submitted, *router_, shard);
 }
 
 void ForecastService::HandleHealthz(const HttpRequest& request,

@@ -47,12 +47,14 @@ struct PredictBody {
 /// /metricsz) on the same server, so every forecast front-end is
 /// debuggable out of the box.
 ///
-/// Handlers are non-blocking: /predict submits the body's rows to the
-/// shard's BatchServer as one request, and the request's completion
-/// callback serializes and sends the response — no handler thread ever
-/// parks on a forecast, which is what lets a small worker pool sustain
-/// thousands of in-flight requests. Stateless apart from the router
-/// pointer; thread-safe.
+/// /predict submits the body's rows to the shard's BatchServer as one
+/// request, and the request's completion callback serializes and sends
+/// the response. When the shard has a free runner slot, the handler
+/// thread runs the batch itself and answers before it returns (IO
+/// thread → handler → IO thread); otherwise it returns at once and a
+/// running runner answers. No handler ever waits on another request, and
+/// a saturated shard holds at most threads_per_shard handlers (see
+/// ShardedRouter). Stateless apart from the router pointer; thread-safe.
 class ForecastService {
  public:
   /// `router` is borrowed and must outlive the service.

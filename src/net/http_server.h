@@ -88,9 +88,9 @@ class Responder {
 /// that ever reads, writes, accepts or closes a socket — connection
 /// state needs no locking because it has exactly one owner. Parsed
 /// requests are dispatched to a util::ThreadPool of handler workers;
-/// handlers answer through a Responder, so a handler that merely
-/// enqueues work (the /predict path) occupies a worker for microseconds
-/// while thousands of exchanges stay in flight.
+/// handlers answer through a Responder, from their own thread or from
+/// any other, so a handler that merely enqueues work occupies a worker
+/// for microseconds while thousands of exchanges stay in flight.
 ///
 /// Keep-alive: after a response is flushed the connection re-arms for
 /// the next request (HTTP/1.1 default); while a request is being

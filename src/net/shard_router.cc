@@ -1,22 +1,35 @@
 #include "net/shard_router.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <sstream>
+#include <string_view>
+
+#include "util/check.h"
 
 namespace fab::net {
 
 uint64_t ShardHash(const serve::ModelKey& key) {
   // FNV-1a 64: tiny, dependency-free, and stable across platforms and
-  // standard-library versions (std::hash guarantees neither).
-  const std::string canonical =
-      key.period + "|" + std::to_string(key.window) + "|" + key.model;
+  // standard-library versions (std::hash guarantees neither). The
+  // canonical string's pieces are hashed in order; none is copied.
   uint64_t h = 1469598103934665603ULL;  // FNV offset basis
-  for (const char c : canonical) {
-    h ^= static_cast<uint64_t>(static_cast<unsigned char>(c));
-    h *= 1099511628211ULL;  // FNV prime
-  }
+  const auto mix = [&h](std::string_view bytes) {
+    for (const char c : bytes) {
+      h ^= static_cast<uint64_t>(static_cast<unsigned char>(c));
+      h *= 1099511628211ULL;  // FNV prime
+    }
+  };
+  char window[16];
+  const char* window_end =
+      std::to_chars(window, window + sizeof window, key.window).ptr;
+  mix(key.period);
+  mix("|");
+  mix(std::string_view(window, static_cast<size_t>(window_end - window)));
+  mix("|");
+  mix(key.model);
   return h;
 }
 
@@ -105,7 +118,6 @@ Result<std::unique_ptr<ShardedRouter>> ShardedRouter::Create(
     Shard& shard = router->shards_[i];
     shard.server = std::make_unique<serve::BatchServer>(server_options);
     const std::string prefix = "net/shard" + std::to_string(i);
-    shard.admitted = &obs::GetCounter(prefix + "/admitted");
     shard.shed_full = &obs::GetCounter(prefix + "/shed_queue_full");
     shard.shed_slo = &obs::GetCounter(prefix + "/shed_slo");
   }
@@ -143,9 +155,15 @@ Status ShardedRouter::Admit(size_t index, size_t rows) const {
   return Status::OK();
 }
 
-Status ShardedRouter::Submit(const serve::ModelKey& key, ml::ColMatrix rows,
+Status ShardedRouter::Submit(size_t index, const serve::ModelKey& key,
+                             ml::ColMatrix rows,
                              serve::BatchServer::Callback done) {
-  const size_t index = ShardFor(key);
+  if (index >= shards_.size()) {
+    return Status::InvalidArgument("shard " + std::to_string(index) +
+                                   " out of range");
+  }
+  FAB_DCHECK(index == ShardFor(key)) << "shard " << index << " is not "
+                                     << key.ToString() << "'s";
   Shard& shard = shards_[index];
   FAB_ASSIGN_OR_RETURN(std::shared_ptr<const serve::Servable> servable,
                        registry_->Get(key));
@@ -160,9 +178,7 @@ Status ShardedRouter::Submit(const serve::ModelKey& key, ml::ColMatrix rows,
   FAB_RETURN_IF_ERROR(Admit(index, n));
   Status submitted = shard.server->Submit(std::move(servable),
                                           std::move(rows), std::move(done));
-  if (submitted.ok()) {
-    shard.admitted->Increment(n);
-  } else if (submitted.code() == StatusCode::kUnavailable) {
+  if (submitted.code() == StatusCode::kUnavailable) {
     // Lost the race against concurrent admits: the queue filled between
     // the check and the enqueue. Same verdict as a front-door shed.
     shard.shed_full->Increment(n);
@@ -184,7 +200,7 @@ std::string ShardedRouter::StatszJson() const {
   for (size_t i = 0; i < shards_.size(); ++i) {
     if (i != 0) out << ",";
     const Shard& shard = shards_[i];
-    out << "{\"admitted\":" << shard.admitted->Value()
+    out << "{\"admitted\":" << shard.server->Stats().requests_admitted
         << ",\"shed_queue_full\":" << shard.shed_full->Value()
         << ",\"shed_slo\":" << shard.shed_slo->Value()
         << ",\"server\":" << shard.server->StatszJson() << "}";

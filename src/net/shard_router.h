@@ -28,7 +28,10 @@ inline constexpr int kShardHashVersion = 1;
 struct ShardedRouterOptions {
   /// Number of shards (each one coalescing BatchServer + queue).
   size_t num_shards = 4;
-  /// Per-shard worker threads (ResolveThreads convention).
+  /// Per-shard batches that may run at once (ResolveThreads convention):
+  /// each shard BatchServer's num_threads. The batches run on the
+  /// submitting threads, so a saturated shard holds at most this many of
+  /// them.
   int threads_per_shard = 2;
   /// Per-shard BatchServer batch bound, in rows.
   size_t max_batch = 64;
@@ -62,6 +65,12 @@ struct ShardedRouterOptions {
 /// state lives in the BatchServers (locked internally) and per-shard
 /// obs counters (lock-free); the router itself is immutable after
 /// Create.
+///
+/// Isolation: a Submit that finds a free runner slot on its shard runs
+/// that shard's batches before it returns (see serve::BatchServer), so a
+/// saturated shard holds at most threads_per_shard submitting threads.
+/// Shards served from one handler pool therefore stay isolated while the
+/// pool is wider than num_shards × threads_per_shard.
 class ShardedRouter {
  public:
   /// Builds the shard set over `registry` (not owned; must outlive the
@@ -74,15 +83,18 @@ class ShardedRouter {
   ShardedRouter(const ShardedRouter&) = delete;
   ShardedRouter& operator=(const ShardedRouter&) = delete;
 
-  /// Admission-checked asynchronous forecast of every row of `rows`:
-  /// resolves `key` in the registry once, applies the shard's admission
-  /// predicate once, and enqueues the rows onto the shard's BatchServer
-  /// as one request — admitted whole or shed whole, and served by one
-  /// model generation. The callback fires exactly once on admitted
-  /// requests. Unknown keys return kNotFound, sheds kUnavailable (the
-  /// per-shard shed_queue_full / shed_slo counters say which), and
-  /// requests no shard could ever hold kInvalidArgument.
-  [[nodiscard]] Status Submit(const serve::ModelKey& key, ml::ColMatrix rows,
+  /// Admission-checked forecast of every row of `rows`: resolves `key`
+  /// in the registry once, applies the shard's admission predicate once,
+  /// and submits the rows to the shard's BatchServer as one request —
+  /// admitted whole or shed whole, and served by one model generation.
+  /// `shard` must be ShardFor(key): the caller hashes the key once and
+  /// keeps the index for its answer. The callback fires exactly once on
+  /// admitted requests, possibly before Submit returns (the calling
+  /// thread may run the batch). Unknown keys return kNotFound, sheds
+  /// kUnavailable (the per-shard shed_queue_full / shed_slo counters say
+  /// which), and requests no shard could ever hold kInvalidArgument.
+  [[nodiscard]] Status Submit(size_t shard, const serve::ModelKey& key,
+                              ml::ColMatrix rows,
                               serve::BatchServer::Callback done);
 
   /// Shard index serving `key` under this router's layout.
@@ -93,7 +105,9 @@ class ShardedRouter {
   int RetryAfterSeconds(size_t shard) const;
 
   /// Aggregated JSON: per-shard BatchServer statsz + admission counters
-  /// (admitted, shed_queue_full, shed_slo — all in rows).
+  /// (admitted, shed_queue_full, shed_slo — all in rows). `admitted` is
+  /// the shard server's requests_admitted: rows counted when they are
+  /// queued, before any batch runs on the submitting thread.
   std::string StatszJson() const;
 
   /// Drains every shard's queue under its deadline (see
@@ -109,7 +123,6 @@ class ShardedRouter {
  private:
   struct Shard {
     std::unique_ptr<serve::BatchServer> server;
-    obs::Counter* admitted = nullptr;   ///< registry-owned, rows
     obs::Counter* shed_full = nullptr;  ///< registry-owned, rows
     obs::Counter* shed_slo = nullptr;   ///< registry-owned, rows
   };

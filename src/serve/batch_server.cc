@@ -14,7 +14,7 @@ namespace fab::serve {
 
 namespace {
 
-/// EMA update via relaxed CAS: workers race, each applies its own sample,
+/// EMA update via relaxed CAS: runners race, each applies its own sample,
 /// and any interleaving yields a valid smoothed estimate.
 void EmaUpdate(std::atomic<double>& ema, double sample, double alpha) {
   double prev = ema.load(std::memory_order_relaxed);
@@ -27,53 +27,32 @@ void EmaUpdate(std::atomic<double>& ema, double sample, double alpha) {
 }  // namespace
 
 BatchServer::BatchServer(const BatchServerOptions& options)
-    : options_(options) {
-  Start();
-}
+    : options_(options),
+      max_running_(util::ResolveThreads(options.num_threads)) {}
 
 BatchServer::~BatchServer() { Shutdown(); }
 
 void BatchServer::Start() {
-  util::MutexLock lifecycle(lifecycle_mu_);
-  if (!workers_.empty()) return;  // already running
-  {
-    util::MutexLock lock(mu_);
-    stopping_ = false;
-  }
-  const int threads = util::ResolveThreads(options_.num_threads);
-  workers_.reserve(static_cast<size_t>(threads));
-  for (int i = 0; i < threads; ++i) {
-    // WorkerLoop runs on the spawned thread, not under lifecycle_mu_; the
-    // lock only covers the spawn. fablint:allow(conc-blocking-under-lock)
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
+  util::MutexLock lock(mu_);
+  stopping_ = false;
 }
 
 void BatchServer::Shutdown() {
-  // lifecycle_mu_ is held for the whole stop-drain-join sequence, so a
-  // concurrent Start/Shutdown pair serializes: either the restart sees a
-  // fully joined server, or the shutdown joins the freshly started
-  // workers. Lock order lifecycle_mu_ -> mu_ matches Start().
-  util::MutexLock lifecycle(lifecycle_mu_);
   std::vector<Request> abandoned;
   {
     util::MutexLock lock(mu_);
-    if (stopping_ && workers_.empty()) return;
     stopping_ = true;
-    cv_.NotifyAll();
-    if (!workers_.empty()) {
-      // Bounded drain: workers keep batching while we wait; whatever is
-      // still queued at the deadline is pulled out and failed explicitly
-      // below. With the queue empty the workers' wait loops exit.
-      if (options_.shutdown_drain_ms < 0) {
-        while (!queue_.empty()) drained_cv_.Wait(mu_);
-      } else {
-        const auto deadline =
-            obs::Clock::Now() +
-            std::chrono::milliseconds(options_.shutdown_drain_ms);
-        while (!queue_.empty()) {
-          if (!drained_cv_.WaitUntil(mu_, deadline)) break;  // timed out
-        }
+    // Bounded drain: the running runners keep batching while we wait, and
+    // a non-empty queue always has one (see running_). Whatever is still
+    // queued at the deadline is pulled out and failed explicitly below.
+    if (options_.shutdown_drain_ms < 0) {
+      while (!queue_.empty()) idle_cv_.Wait(mu_);
+    } else {
+      const auto deadline =
+          obs::Clock::Now() +
+          std::chrono::milliseconds(options_.shutdown_drain_ms);
+      while (!queue_.empty()) {
+        if (!idle_cv_.WaitUntil(mu_, deadline)) break;  // timed out
       }
     }
     while (!queue_.empty()) {
@@ -81,15 +60,13 @@ void BatchServer::Shutdown() {
       queue_.pop_front();
     }
     queued_rows_ = 0;
+    // Batches already running finish first: with the queue empty, each
+    // runner leaves after its current batch, and this server is not
+    // destroyed or revived under one.
+    while (running_ > 0) idle_cv_.Wait(mu_);
   }
-  cv_.NotifyAll();
-  for (std::thread& worker : workers_) {
-    if (worker.joinable()) worker.join();
-  }
-  workers_.clear();
   // Accepted requests are never silently lost: each one left at the
-  // drain deadline resolves with an explicit error, after the workers
-  // are gone (so completion order is deterministic per request).
+  // drain deadline resolves with an explicit error.
   for (Request& request : abandoned) {
     requests_abandoned_.fetch_add(request.rows.rows(),
                                   std::memory_order_relaxed);
@@ -101,8 +78,7 @@ void BatchServer::Shutdown() {
 void BatchServer::Complete(Request request,
                            Result<std::vector<double>> result) {
   // Re-install the request's trace context: callbacks (Responder::Send)
-  // run on a batch worker or the shutdown thread, neither of which
-  // carries it naturally.
+  // run on a runner serving another request, or on the shutdown thread.
   obs::ScopedTraceId scope(request.trace_id);
   request.callback(std::move(result));
 }
@@ -130,12 +106,17 @@ Status BatchServer::Submit(std::shared_ptr<const Servable> model,
         std::to_string(rows.rows()) + " rows exceed the queue bound of " +
         std::to_string(options_.max_queue));
   }
-  return Enqueue(Request{std::move(model), std::move(rows), std::move(done),
-                         obs::Clock::Now(), obs::CurrentTraceId()});
+  bool run = false;
+  FAB_RETURN_IF_ERROR(Enqueue(Request{std::move(model), std::move(rows),
+                                      std::move(done), obs::Clock::Now(),
+                                      obs::CurrentTraceId()},
+                              &run));
+  if (run) RunQueue();
+  return Status::OK();
 }
 
 // fablint:hot — per-request admission; runs under mu_ on every Submit.
-Status BatchServer::Enqueue(Request request) {
+Status BatchServer::Enqueue(Request request, bool* run) {
   const size_t rows = request.rows.rows();
   {
     util::MutexLock lock(mu_);
@@ -158,6 +139,9 @@ Status BatchServer::Enqueue(Request request) {
     // reserve() exists on std::deque. fablint:allow(perf-hot-alloc)
     queue_.push_back(std::move(request));
     queued_rows_ += rows;
+    requests_admitted_.fetch_add(rows, std::memory_order_relaxed);
+    *run = running_ < max_running_;
+    if (*run) ++running_;
   }
   {
     util::MutexLock lock(stats_mu_);
@@ -166,7 +150,6 @@ Status BatchServer::Enqueue(Request request) {
       first_submit_ = obs::Clock::Now();
     }
   }
-  cv_.NotifyOne();
   return Status::OK();
 }
 // fablint:endhot
@@ -179,56 +162,59 @@ size_t BatchServer::QueueDepth() const {
 double BatchServer::EstimatedQueueWaitUs() const {
   const double row_us = ema_row_service_us_.load(std::memory_order_relaxed);
   if (row_us <= 0.0) return 0.0;
-  const size_t depth = QueueDepth();
-  const int threads = util::ResolveThreads(options_.num_threads);
-  return static_cast<double>(depth) * row_us /
-         static_cast<double>(threads > 0 ? threads : 1);
+  return static_cast<double>(QueueDepth()) * row_us /
+         static_cast<double>(max_running_);
 }
 
-void BatchServer::WorkerLoop() {
+// fablint:hot — every Submit that finds a free runner slot runs this.
+void BatchServer::RunQueue() {
   while (true) {
     std::vector<Request> batch;
     {
       util::MutexLock lock(mu_);
-      // Explicit wait loops over FAB_GUARDED_BY state (no predicate
-      // lambdas): the analysis then proves every read of queue_ and
-      // stopping_ happens with mu_ held.
-      while (!stopping_ && queue_.empty()) cv_.Wait(mu_);
-      if (queue_.empty()) return;  // stopping and fully drained
-      // Extract the maximal run of requests for the front request's
-      // model and row width, up to max_batch rows. The front request
-      // always goes in, however many rows it has; extraction stops at
-      // the first matching request that would overflow the batch, so
-      // same-model requests keep their FIFO order. Requests for other
-      // models or widths are put back in their original relative order
-      // and picked up by the next extraction.
-      batch.push_back(std::move(queue_.front()));
-      queue_.pop_front();
-      const Servable* model = batch.front().model.get();
-      const size_t cols = batch.front().rows.cols();
-      size_t rows = batch.front().rows.rows();
-      std::vector<Request> skipped;
-      while (!queue_.empty() && rows < options_.max_batch) {
-        Request& next = queue_.front();
-        if (next.model.get() != model || next.rows.cols() != cols) {
-          skipped.push_back(std::move(next));
-        } else if (rows + next.rows.rows() <= options_.max_batch) {
-          rows += next.rows.rows();
-          batch.push_back(std::move(next));
-        } else {
-          break;
-        }
-        queue_.pop_front();
+      if (queue_.empty()) {
+        --running_;
+        idle_cv_.NotifyAll();  // Shutdown may be waiting
+        return;
       }
-      queued_rows_ -= rows;
-      for (auto it = skipped.rbegin(); it != skipped.rend(); ++it) {
-        queue_.push_front(std::move(*it));
-      }
-      if (!skipped.empty()) cv_.NotifyOne();  // other-model work remains
-      if (queue_.empty()) drained_cv_.NotifyAll();
+      batch = NextBatch();
     }
     RunBatch(std::move(batch));
   }
+}
+// fablint:endhot
+
+std::vector<BatchServer::Request> BatchServer::NextBatch() {
+  // The front request always goes in, however many rows it has; then the
+  // following requests for its model and row width, up to max_batch
+  // rows. Extraction stops at the first matching request that would
+  // overflow the batch, so same-model requests keep their FIFO order.
+  // Requests for other models or widths are put back in their original
+  // relative order and picked up by the next extraction.
+  std::vector<Request> batch;
+  batch.push_back(std::move(queue_.front()));
+  queue_.pop_front();
+  const Servable* model = batch.front().model.get();
+  const size_t cols = batch.front().rows.cols();
+  size_t rows = batch.front().rows.rows();
+  std::vector<Request> skipped;
+  while (!queue_.empty() && rows < options_.max_batch) {
+    Request& next = queue_.front();
+    if (next.model.get() != model || next.rows.cols() != cols) {
+      skipped.push_back(std::move(next));
+    } else if (rows + next.rows.rows() <= options_.max_batch) {
+      rows += next.rows.rows();
+      batch.push_back(std::move(next));
+    } else {
+      break;
+    }
+    queue_.pop_front();
+  }
+  queued_rows_ -= rows;
+  for (auto it = skipped.rbegin(); it != skipped.rend(); ++it) {
+    queue_.push_front(std::move(*it));
+  }
+  return batch;
 }
 
 void BatchServer::RunBatch(std::vector<Request> batch) {
@@ -239,8 +225,8 @@ void BatchServer::RunBatch(std::vector<Request> batch) {
   // Queue wait ends here: the requests just left the queue for a batch.
   const obs::Clock::time_point batch_start = obs::Clock::Now();
   for (const Request& request : batch) {
-    // Explicit trace id: the batch thread has no request context of its
-    // own, but each request remembers who submitted it.
+    // Explicit trace id: the runner carries its own request's context, if
+    // any, but each request remembers who submitted it.
     queue_wait_us_hist_.Record(
         obs::Clock::MicrosBetween(request.enqueued, batch_start),
         request.trace_id);
@@ -272,8 +258,8 @@ void BatchServer::RunBatch(std::vector<Request> batch) {
             /*alpha=*/0.25);
   // End-to-end latency lands in the bounded histogram — no sample cap,
   // no unbounded vector, O(1) memory for any request volume. Each
-  // request also drops a span into the flight ring: the shard-batch leg
-  // of the request's /tracez span tree (enqueue → completion).
+  // request also drops a span into the flight ring: the shard leg of the
+  // request's /tracez span tree (enqueue → completion).
   for (const Request& request : batch) {
     latency_us_hist_.Record(obs::Clock::MicrosBetween(request.enqueued, done),
                             request.trace_id);
@@ -309,6 +295,7 @@ BatchServerStats BatchServer::Stats() const {
   stats.p99_batch_size = batch_size_hist_.Percentile(0.99);
   stats.p50_queue_wait_us = queue_wait_us_hist_.Percentile(0.50);
   stats.p99_queue_wait_us = queue_wait_us_hist_.Percentile(0.99);
+  stats.requests_admitted = requests_admitted_.load(std::memory_order_relaxed);
   stats.requests_rejected = requests_rejected_.load(std::memory_order_relaxed);
   stats.requests_abandoned =
       requests_abandoned_.load(std::memory_order_relaxed);
@@ -334,6 +321,7 @@ std::string BatchServer::StatszJson() const {
   std::string out;
   out.reserve(1024);
   out += "{\"requests_completed\":" + std::to_string(stats.requests_completed);
+  out += ",\"requests_admitted\":" + std::to_string(stats.requests_admitted);
   out += ",\"requests_rejected\":" + std::to_string(stats.requests_rejected);
   out += ",\"requests_abandoned\":" + std::to_string(stats.requests_abandoned);
   out += ",\"batches_run\":" + std::to_string(stats.batches_run);

@@ -7,7 +7,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "ml/matrix.h"
@@ -21,8 +20,10 @@
 namespace fab::serve {
 
 struct BatchServerOptions {
-  /// Worker threads draining the request queue, under the
-  /// util::ResolveThreads convention (0 = hardware concurrency).
+  /// Batches that may run at once, under the util::ResolveThreads
+  /// convention (0 = hardware concurrency). The server owns no threads:
+  /// this many submitting threads at a time run batches (see
+  /// BatchServer).
   int num_threads = 0;
   /// Upper bound on rows coalesced into one inference batch. A request
   /// with more rows than this runs as a batch of its own; requests are
@@ -57,6 +58,9 @@ struct BatchServerOptions {
 /// Counts, means, max and rows_per_sec are exact.
 struct BatchServerStats {
   uint64_t requests_completed = 0;
+  /// Submits queued: counted when the request is queued, before any
+  /// batch runs on the submitting thread.
+  uint64_t requests_admitted = 0;
   /// Submits refused at the door because their rows did not fit under
   /// max_queue.
   uint64_t requests_rejected = 0;
@@ -74,53 +78,51 @@ struct BatchServerStats {
   double p99_latency_us = 0.0;
   double max_latency_us = 0.0;
   /// Enqueue → batch-assembly wait percentiles, µs (time spent queued
-  /// before a worker picked the request into a batch).
+  /// before a runner picked the request into a batch).
   double p50_queue_wait_us = 0.0;
   double p99_queue_wait_us = 0.0;
   /// Completed rows divided by the first-submit → last-completion span.
   double rows_per_sec = 0.0;
 };
 
-/// A thread-pool-backed forecast server that coalesces requests into
-/// batches and runs them through a Servable's batched kernel — the
-/// pattern that turns N queue-depth point lookups into one
-/// cache-friendly flat-forest sweep.
+/// A forecast server that coalesces requests into batches and runs them
+/// through a Servable's batched kernel — the pattern that turns N
+/// queue-depth point lookups into one cache-friendly flat-forest sweep.
 ///
 /// One request is one queue entry: a matrix of rows for one explicit
 /// Servable, answered by one callback. One BatchServer can therefore
-/// serve every scenario key of a fab::net shard. Workers extract
-/// maximal runs of entries for the same model and row width, up to
+/// serve every scenario key of a fab::net shard. A batch is the maximal
+/// run of entries for the front request's model and row width, up to
 /// max_batch rows, so requests for the same model still coalesce into
 /// one kernel sweep while requests for different models never mix in a
 /// batch. Every row of a request is served by the same model in the
 /// same batch.
 ///
-/// Work-conserving: a worker that finds the queue non-empty runs what is
-/// there at once and never holds a batch open for more arrivals. Batches
-/// grow only from requests that queue while every worker is busy, so an
-/// idle server runs a lone request as soon as a worker wakes and a
-/// loaded one still amortizes each sweep over many rows.
+/// Owns no threads. Submit queues the request; then, while fewer than
+/// num_threads batches are running on this server, the submitting thread
+/// becomes a runner: it extracts and runs batches, FIFO, until the queue
+/// is empty, and only then returns. Otherwise Submit returns at once and
+/// a running runner takes the request into its next batch. So an idle
+/// server runs a lone request on its caller's thread with no hand-off,
+/// and batches grow only from requests that queue while a kernel runs.
 ///
 /// Thread-safe: any number of client threads may Submit concurrently.
 ///
-/// Three capabilities, each compiler-checked via FAB_GUARDED_BY under
+/// Two capabilities, each compiler-checked via FAB_GUARDED_BY under
 /// `-DFAB_THREAD_SAFETY=ON`:
-///   * mu_            — request queue, queued-row count, stop flag (the
-///                      condition-variable predicates read only this
-///                      guarded state, in explicit wait loops);
-///   * stats_mu_      — serving counters and latency samples;
-///   * lifecycle_mu_  — the worker threads themselves. Held across the
-///                      join in Shutdown, so Start/Shutdown/Start races
-///                      serialize instead of double-joining. Fixed order
-///                      when nested: lifecycle_mu_ before mu_ (fablint's
-///                      cross-TU lock-order rule watches the inverse).
+///   * mu_        — request queue, queued-row count, running-batch count,
+///                  stop flag (the condition-variable predicates read
+///                  only this guarded state, in explicit wait loops);
+///   * stats_mu_  — serving counters and latency samples.
 class BatchServer {
  public:
   /// Invoked exactly once per accepted request with one forecast per
-  /// row, in row order, or the terminal error. Runs on a worker thread
-  /// (or on the thread driving Shutdown, for deadline-abandoned
-  /// requests): keep it cheap and never call back into this BatchServer
-  /// from inside it.
+  /// row, in row order, or the terminal error. Runs on whichever thread
+  /// is the runner — the request's own submitter or another one — or on
+  /// the thread driving Shutdown, for deadline-abandoned requests. While
+  /// it runs, every request queued behind it waits: keep it cheap, never
+  /// block in it on another request, and never Submit to this server (or
+  /// Shutdown it) from inside it.
   using Callback = std::function<void(Result<std::vector<double>>)>;
 
   explicit BatchServer(const BatchServerOptions& options);
@@ -135,24 +137,29 @@ class BatchServer {
   /// rows, a width the model does not take, or more rows than max_queue
   /// could ever hold; kUnavailable when the queue has no room for all
   /// the rows; kFailedPrecondition after Shutdown. On OK, `done` fires
-  /// exactly once; on any error it never fires. No thread waits on the
-  /// forecast, which is what lets an HTTP front-end keep thousands of
-  /// requests in flight without parking a thread per request.
+  /// exactly once; on any error it never fires. When the caller becomes
+  /// a runner (see the class comment) Submit returns only once the queue
+  /// is empty, so `done` has fired by then; otherwise it returns at once
+  /// and `done` fires on a runner.
   [[nodiscard]] Status Submit(std::shared_ptr<const Servable> model,
                               ml::ColMatrix rows, Callback done)
       FAB_EXCLUDES(mu_);
 
-  /// (Re)spawns the worker threads after a Shutdown and starts accepting
-  /// requests again. Idempotent while running; also run by the
-  /// constructor. Serving stats carry over across restarts.
-  void Start() FAB_EXCLUDES(lifecycle_mu_, mu_);
+  /// Starts accepting requests again after a Shutdown. Idempotent while
+  /// running. Serving stats carry over across restarts. Call it after
+  /// Shutdown returns: a Start that races a Shutdown reopens the server
+  /// under it, and that Shutdown then also waits out the batches its new
+  /// submitters run.
+  void Start() FAB_EXCLUDES(mu_);
 
-  /// Stops accepting requests, drains the queue (bounded by
-  /// options.shutdown_drain_ms), joins the workers. Requests still
-  /// queued at the drain deadline are completed with kUnavailable — an
-  /// accepted request is never silently lost. Idempotent; also run by
-  /// the destructor. A stopped server can be revived with Start().
-  void Shutdown() FAB_EXCLUDES(lifecycle_mu_, mu_);
+  /// Stops accepting requests and drains the queue, bounded by
+  /// options.shutdown_drain_ms: the running runners keep batching in the
+  /// meantime. Requests still queued at the drain deadline are completed
+  /// with kUnavailable — an accepted request is never silently lost —
+  /// and batches already running finish before Shutdown returns, so every
+  /// accepted request's callback has fired by then. Idempotent; also run
+  /// by the destructor. A stopped server can be revived with Start().
+  void Shutdown() FAB_EXCLUDES(mu_);
 
   BatchServerStats Stats() const;
 
@@ -165,7 +172,7 @@ class BatchServer {
   size_t QueueDepth() const FAB_EXCLUDES(mu_);
 
   /// Predicted queue wait for a request admitted right now, in µs:
-  /// queued rows × the EMA per-row service time ÷ worker count. Zero
+  /// queued rows × the EMA per-row service time ÷ num_threads. Zero
   /// until the first batch completes. The fab::net admission layer sheds
   /// load when this crosses the queue-wait SLO — before latency
   /// collapses, not after.
@@ -178,34 +185,44 @@ class BatchServer {
     Callback callback;
     obs::Clock::time_point enqueued;
     /// Trace context captured at submit time (obs::CurrentTraceId; 0 when
-    /// untraced). Batch workers re-install it around completion callbacks
-    /// and attribute this request's latency samples to it, so a request's
-    /// spans stitch across the submitting thread and the batch thread.
+    /// untraced). The runner re-installs it around the completion
+    /// callback and attributes this request's latency samples to it, so a
+    /// request served by another request's submitter keeps its own spans.
     uint64_t trace_id = 0;
   };
 
   /// Fires a request's callback under its trace context.
   static void Complete(Request request, Result<std::vector<double>> result);
 
-  /// Admission + enqueue of a validated request.
-  [[nodiscard]] Status Enqueue(Request request) FAB_EXCLUDES(mu_);
+  /// Admission + enqueue of a validated request. On OK, `*run` says
+  /// whether the caller took a runner slot and must call RunQueue.
+  [[nodiscard]] Status Enqueue(Request request, bool* run) FAB_EXCLUDES(mu_);
 
-  void WorkerLoop() FAB_EXCLUDES(mu_);
+  /// The runner loop: extracts and runs batches until the queue is
+  /// empty, then gives its runner slot back.
+  void RunQueue() FAB_EXCLUDES(mu_);
+  /// Takes the next batch off the queue (the front request's model and
+  /// width, up to max_batch rows, FIFO).
+  std::vector<Request> NextBatch() FAB_REQUIRES(mu_);
   void RunBatch(std::vector<Request> batch);
 
   const BatchServerOptions options_;
+  /// util::ResolveThreads(options_.num_threads): the runner-slot count.
+  const int max_running_;
   /// EMA of per-row batch service time in µs (relaxed CAS updates from
-  /// workers; feeds EstimatedQueueWaitUs).
+  /// runners; feeds EstimatedQueueWaitUs).
   std::atomic<double> ema_row_service_us_{0.0};
 
   mutable util::Mutex mu_;
-  util::CondVar cv_;
-  /// Workers notify when the queue empties; Shutdown's bounded drain
-  /// waits on it instead of polling.
-  util::CondVar drained_cv_;
+  /// Runners notify it on leaving; Shutdown's bounded drain and its wait
+  /// for running batches sleep on it.
+  util::CondVar idle_cv_;
   std::deque<Request> queue_ FAB_GUARDED_BY(mu_);
   /// Total rows over queue_ — what max_queue and QueueDepth count.
   size_t queued_rows_ FAB_GUARDED_BY(mu_) = 0;
+  /// Runners inside RunQueue, at most max_running_. Nonzero whenever
+  /// queue_ is non-empty with mu_ released.
+  int running_ FAB_GUARDED_BY(mu_) = 0;
   bool stopping_ FAB_GUARDED_BY(mu_) = false;
 
   mutable util::Mutex stats_mu_;
@@ -217,6 +234,7 @@ class BatchServer {
 
   // Admission counters are lock-free so the rejection fast path never
   // touches stats_mu_.
+  std::atomic<uint64_t> requests_admitted_{0};
   std::atomic<uint64_t> requests_rejected_{0};
   std::atomic<uint64_t> requests_abandoned_{0};
 
@@ -226,9 +244,6 @@ class BatchServer {
   obs::Histogram latency_us_hist_;
   obs::Histogram batch_size_hist_;
   obs::Histogram queue_wait_us_hist_;
-
-  util::Mutex lifecycle_mu_ FAB_ACQUIRED_BEFORE(mu_);
-  std::vector<std::thread> workers_ FAB_GUARDED_BY(lifecycle_mu_);
 };
 
 }  // namespace fab::serve

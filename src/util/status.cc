@@ -26,6 +26,8 @@ const char* StatusCodeToString(StatusCode code) {
   return "Unknown";
 }
 
+Status::Status(const Status& other) = default;
+
 std::string Status::ToString() const {
   if (ok()) return "OK";
   std::string out = StatusCodeToString(code_);

@@ -43,6 +43,17 @@ class [[nodiscard]] Status {
   Status(StatusCode code, std::string message)
       : code_(code), message_(std::move(message)) {}
 
+  /// Copying is defined in status.cc. A copy is an error-path step (a
+  /// Result's status(), a propagated error), and keeping its string copy
+  /// out of line keeps it out of callers' inlined code: there GCC 12's
+  /// sanitizer builds read a Result<T>::status() that holds a T as a
+  /// possible copy of the variant's never-written Status and warn
+  /// -Wmaybe-uninitialized.
+  Status(const Status& other);
+  Status(Status&& other) = default;
+  Status& operator=(const Status& other) = default;
+  Status& operator=(Status&& other) = default;
+
   /// Factory helpers, one per error class.
   static Status OK() { return Status(); }
   [[nodiscard]] static Status InvalidArgument(std::string msg) {

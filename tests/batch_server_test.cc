@@ -69,6 +69,43 @@ Forecasts Forecast(BatchServer& server, std::shared_ptr<const Servable> model,
   return future.get();
 }
 
+/// StartRunner polls every 100 µs for at least 10 s before it gives up
+/// on a helper's batch.
+constexpr int kStartPolls = 100000;
+
+/// Submits one request from a new thread and returns once its batch is
+/// running: the request was admitted and has left the queue. That thread
+/// is then one of the server's runners. It runs whatever is queued after
+/// its batch before its Submit returns, so a test can stack requests
+/// behind a slow batch from its own thread. The request's forecasts land
+/// in `*future`; the returned thread joins when it goes out of scope.
+std::jthread StartRunner(BatchServer& server,
+                         std::shared_ptr<const Servable> model,
+                         ml::ColMatrix rows, std::future<Forecasts>* future) {
+  auto promise = std::make_shared<std::promise<Forecasts>>();
+  *future = promise->get_future();
+  const uint64_t admitted = server.Stats().requests_admitted + rows.rows();
+  std::jthread runner([&server, model = std::move(model),
+                       rows = std::move(rows), promise]() mutable {
+    EXPECT_TRUE(server
+                    .Submit(std::move(model), std::move(rows),
+                            [promise](Forecasts result) {
+                              promise->set_value(std::move(result));
+                            })
+                    .ok());
+  });
+  for (int poll = 0; server.Stats().requests_admitted < admitted ||
+                     server.QueueDepth() != 0;
+       ++poll) {
+    if (poll == kStartPolls) {
+      ADD_FAILURE() << "the runner's batch never started";
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return runner;
+}
+
 std::shared_ptr<const Servable> TrainServable(uint64_t seed,
                                               size_t features = 6) {
   const ml::ColMatrix train = MakeMatrix(200, features, seed);
@@ -88,8 +125,8 @@ std::shared_ptr<const Servable> TrainServable(uint64_t seed,
 }
 
 /// A regressor whose Predict blocks for a fixed delay per call — lets
-/// tests hold the worker pool busy so queue-bound and drain-deadline
-/// paths actually trigger.
+/// tests hold a runner busy so queue-bound and drain-deadline paths
+/// actually trigger.
 class SlowRegressor : public ml::Regressor {
  public:
   explicit SlowRegressor(int delay_ms, double value = 7.0)
@@ -136,6 +173,28 @@ class WidthEchoRegressor : public SlowRegressor {
   }
 };
 
+/// A SlowRegressor that records how many of its Predict calls overlap:
+/// one call is one batch, so max_active() is the most batches that ran
+/// at once.
+class ConcurrencyProbe : public SlowRegressor {
+ public:
+  explicit ConcurrencyProbe(int delay_ms) : SlowRegressor(delay_ms) {}
+  std::vector<double> Predict(const ml::ColMatrix& x) const override {
+    const int now = active_.fetch_add(1) + 1;
+    int seen = max_active_.load();
+    while (now > seen && !max_active_.compare_exchange_weak(seen, now)) {
+    }
+    std::vector<double> out = SlowRegressor::Predict(x);
+    active_.fetch_sub(1);
+    return out;
+  }
+  int max_active() const { return max_active_.load(); }
+
+ private:
+  mutable std::atomic<int> active_{0};
+  mutable std::atomic<int> max_active_{0};
+};
+
 TEST(BatchServerTest, ServesSameResultsAsDirectPredict) {
   auto servable = TrainServable(31);
   const ml::ColMatrix queries = MakeMatrix(80, 6, 32);
@@ -161,8 +220,8 @@ TEST(BatchServerTest, ServesSameResultsAsDirectPredict) {
 }
 
 TEST(BatchServerTest, MultiRowRequestsCoalesceWholeAndInRowOrder) {
-  // Park the only worker on a slow request, queue five requests for one
-  // model, then let it go. With max_batch = 8 the worker must take
+  // Park the only runner on a slow request, queue five requests for one
+  // model, then let it go. With max_batch = 8 the runner must take
   // [3+5], [1+7] and [10]: requests are stacked into one kernel sweep,
   // never split, and one larger than max_batch runs alone.
   auto servable = TrainServable(56);
@@ -173,10 +232,9 @@ TEST(BatchServerTest, MultiRowRequestsCoalesceWholeAndInRowOrder) {
   options.num_threads = 1;
   options.max_batch = 8;
   BatchServer server(options);
-  auto parked = SubmitFuture(server, MakeSlowServable(/*delay_ms=*/100),
-                             Ones(1, 1));
-  ASSERT_TRUE(parked.ok());
-  while (server.QueueDepth() != 0) std::this_thread::yield();
+  std::future<Forecasts> parked;
+  const std::jthread runner = StartRunner(
+      server, MakeSlowServable(/*delay_ms=*/100), Ones(1, 1), &parked);
 
   const std::vector<size_t> sizes = {3, 5, 1, 7, 10};
   std::vector<std::future<Forecasts>> futures;
@@ -189,7 +247,7 @@ TEST(BatchServerTest, MultiRowRequestsCoalesceWholeAndInRowOrder) {
   }
   EXPECT_EQ(server.QueueDepth(), queries.rows());  // depth counts rows
 
-  ASSERT_TRUE(parked->get().ok());
+  ASSERT_TRUE(parked.get().ok());
   begin = 0;
   for (size_t i = 0; i < sizes.size(); ++i) {
     Forecasts got = futures[i].get();
@@ -213,16 +271,15 @@ TEST(BatchServerTest, RequestsOfDifferentWidthsNeverShareABatch) {
   BatchServerOptions options;
   options.num_threads = 1;
   BatchServer server(options);
-  auto parked = SubmitFuture(server, MakeSlowServable(/*delay_ms=*/100),
-                             Ones(1, 1));
-  ASSERT_TRUE(parked.ok());
-  while (server.QueueDepth() != 0) std::this_thread::yield();
+  std::future<Forecasts> parked;
+  const std::jthread runner = StartRunner(
+      server, MakeSlowServable(/*delay_ms=*/100), Ones(1, 1), &parked);
 
   auto narrow_a = SubmitFuture(server, *echo, Ones(1, 1));
   auto wide = SubmitFuture(server, *echo, Ones(2, 3));
   auto narrow_b = SubmitFuture(server, *echo, Ones(1, 1));
   ASSERT_TRUE(narrow_a.ok() && wide.ok() && narrow_b.ok());
-  ASSERT_TRUE(parked->get().ok());
+  ASSERT_TRUE(parked.get().ok());
   EXPECT_EQ(*narrow_a->get(), std::vector<double>({1.0}));
   EXPECT_EQ(*wide->get(), std::vector<double>({3.0, 3.0}));
   EXPECT_EQ(*narrow_b->get(), std::vector<double>({1.0}));
@@ -338,16 +395,15 @@ TEST(BatchServerTest, ServesEachRequestWithItsOwnModel) {
   const std::vector<double> want_a = model_a->Predict(queries);
   const std::vector<double> want_b = model_b->Predict(queries);
 
-  // Park the only worker on a slow request so the interleaved traffic
+  // Park the only runner on a slow request so the interleaved traffic
   // below is all queued before any of it is batched.
   BatchServerOptions options;
   options.num_threads = 1;
   options.max_batch = 8;
   BatchServer server(options);
-  auto parked = SubmitFuture(server, MakeSlowServable(/*delay_ms=*/100),
-                             Ones(1, 1));
-  ASSERT_TRUE(parked.ok());
-  while (server.QueueDepth() != 0) std::this_thread::yield();
+  std::future<Forecasts> parked;
+  const std::jthread runner = StartRunner(
+      server, MakeSlowServable(/*delay_ms=*/100), Ones(1, 1), &parked);
 
   std::vector<std::future<Forecasts>> futures_a;
   std::vector<std::future<Forecasts>> futures_b;
@@ -359,7 +415,7 @@ TEST(BatchServerTest, ServesEachRequestWithItsOwnModel) {
     futures_a.push_back(std::move(*a));
     futures_b.push_back(std::move(*b));
   }
-  ASSERT_TRUE(parked->get().ok());
+  ASSERT_TRUE(parked.get().ok());
   for (size_t i = 0; i < queries.rows(); ++i) {
     Forecasts got_a = futures_a[i].get();
     Forecasts got_b = futures_b[i].get();
@@ -376,10 +432,10 @@ TEST(BatchServerTest, ServesEachRequestWithItsOwnModel) {
 }
 
 TEST(BatchServerTest, IdleServerRunsALoneRequestAtOnce) {
-  // Work-conserving: a lone queued request runs as soon as a worker
-  // wakes, not after a hold for more arrivals. A server that held it
-  // open would show every wait at least as long as the hold; 200 µs is
-  // far above a condition-variable wake-up, even under the sanitizers.
+  // Work-conserving: a lone queued request runs at once, on its own
+  // submitting thread, not after a hold for more arrivals. A server that
+  // held it open would show every wait at least as long as the hold;
+  // 200 µs is far above one queue pass, even under the sanitizers.
   auto servable = TrainServable(58);
   const ml::ColMatrix queries = MakeMatrix(50, 6, 59);
   BatchServerOptions options;
@@ -391,6 +447,120 @@ TEST(BatchServerTest, IdleServerRunsALoneRequestAtOnce) {
   const BatchServerStats stats = server.Stats();
   EXPECT_EQ(stats.batches_run, queries.rows());
   EXPECT_LT(stats.p50_queue_wait_us, 200.0);
+}
+
+TEST(BatchServerTest, LoneRequestRunsOnTheSubmittingThread) {
+  // An idle server hands nothing off: Submit runs the batch and fires the
+  // callback on the caller's thread before it returns.
+  auto model = TrainServable(60);
+  const ml::ColMatrix queries = MakeMatrix(1, 6, 61);
+  BatchServerOptions options;
+  options.num_threads = 1;
+  BatchServer server(options);
+  std::thread::id ran_on;
+  Forecasts got = Status::Internal("callback never ran");
+  ASSERT_TRUE(server
+                  .Submit(model, RowOf(queries, 0),
+                          [&](Forecasts result) {
+                            ran_on = std::this_thread::get_id();
+                            got = std::move(result);
+                          })
+                  .ok());
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, model->Predict(queries));
+  EXPECT_EQ(server.Stats().batches_run, 1u);
+}
+
+TEST(BatchServerTest, RequestsQueuedDuringABatchCoalesceOnItsRunner) {
+  // While the only runner is in a slow batch, three submits from this
+  // thread find no free runner slot: they queue and return at once. The
+  // runner takes all three into its next batch and fires their
+  // callbacks on its own thread.
+  auto model = TrainServable(62);
+  const ml::ColMatrix queries = MakeMatrix(3, 6, 63);
+  const std::vector<double> want = model->Predict(queries);
+  BatchServerOptions options;
+  options.num_threads = 1;
+  options.max_batch = 8;
+  BatchServer server(options);
+  std::future<Forecasts> parked;
+  const std::jthread runner = StartRunner(
+      server, MakeSlowServable(/*delay_ms=*/100), Ones(1, 1), &parked);
+
+  std::vector<std::thread::id> ran_on(queries.rows());
+  std::vector<std::future<Forecasts>> futures;
+  for (size_t i = 0; i < queries.rows(); ++i) {
+    auto promise = std::make_shared<std::promise<Forecasts>>();
+    futures.push_back(promise->get_future());
+    ASSERT_TRUE(server
+                    .Submit(model, RowOf(queries, i),
+                            [&ran_on, i, promise](Forecasts result) {
+                              ran_on[i] = std::this_thread::get_id();
+                              promise->set_value(std::move(result));
+                            })
+                    .ok());
+  }
+  EXPECT_EQ(server.QueueDepth(), queries.rows());  // none ran here
+  ASSERT_TRUE(parked.get().ok());
+  for (size_t i = 0; i < futures.size(); ++i) {
+    Forecasts got = futures[i].get();
+    ASSERT_TRUE(got.ok()) << "request " << i;
+    EXPECT_EQ(*got, std::vector<double>{want[i]}) << "request " << i;
+    EXPECT_EQ(ran_on[i], runner.get_id()) << "request " << i;
+  }
+  const BatchServerStats stats = server.Stats();
+  EXPECT_EQ(stats.batches_run, 2u);  // the parked one, then [1+1+1]
+  EXPECT_EQ(stats.requests_completed, 1 + queries.rows());
+}
+
+TEST(BatchServerTest, RunsAtMostNumThreadsBatchesAtOnce) {
+  // Two runner slots. Two parked submitters fill them, each in its own
+  // slow batch; a third submit finds no slot, queues and returns at
+  // once, and one of the two runners serves it.
+  auto probe = std::make_unique<ConcurrencyProbe>(/*delay_ms=*/100);
+  const ConcurrencyProbe& slow_probe = *probe;
+  auto slow = Servable::Wrap(std::move(probe));
+  ASSERT_TRUE(slow.ok());
+  BatchServerOptions options;
+  options.num_threads = 2;
+  options.max_batch = 1;
+  BatchServer server(options);
+  std::future<Forecasts> first;
+  std::future<Forecasts> second;
+  {
+    const std::jthread a = StartRunner(server, *slow, Ones(1, 1), &first);
+    const std::jthread b = StartRunner(server, *slow, Ones(1, 1), &second);
+    auto third = SubmitFuture(server, *slow, Ones(1, 1));
+    ASSERT_TRUE(third.ok());
+    EXPECT_EQ(server.QueueDepth(), 1u);
+    for (std::future<Forecasts>* future : {&first, &second, &*third}) {
+      Forecasts got = future->get();
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(*got, std::vector<double>{7.0});
+    }
+  }
+  EXPECT_EQ(slow_probe.max_active(), 2);
+
+  // Many clients, many short batches: never more than two at once.
+  auto fast_probe_model = std::make_unique<ConcurrencyProbe>(/*delay_ms=*/1);
+  const ConcurrencyProbe& fast_probe = *fast_probe_model;
+  auto fast = Servable::Wrap(std::move(fast_probe_model));
+  ASSERT_TRUE(fast.ok());
+  std::atomic<int> failures{0};
+  {
+    std::vector<std::jthread> clients;
+    for (int c = 0; c < 6; ++c) {
+      clients.emplace_back([&] {
+        for (int i = 0; i < 20; ++i) {
+          if (!Forecast(server, *fast, Ones(1, 1)).ok()) failures.fetch_add(1);
+        }
+      });
+    }
+  }
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GE(fast_probe.max_active(), 1);
+  EXPECT_LE(fast_probe.max_active(), 2);
 }
 
 TEST(BatchServerTest, CallbackCompletesWithoutBlocking) {
@@ -421,9 +591,9 @@ TEST(BatchServerTest, CallbackCompletesWithoutBlocking) {
 }
 
 TEST(BatchServerTest, BoundedQueueShedsWithUnavailable) {
-  // One slow single-threaded worker + a 4-row queue: once the worker is
-  // busy and the queue is full, further submits must fail fast with
-  // kUnavailable (the signal the HTTP layer turns into 429).
+  // One slow runner + a 4-row queue: once the runner is busy and the
+  // queue is full, further submits must fail fast with kUnavailable (the
+  // signal the HTTP layer turns into 429).
   BatchServerOptions options;
   options.num_threads = 1;
   options.max_batch = 1;
@@ -431,11 +601,15 @@ TEST(BatchServerTest, BoundedQueueShedsWithUnavailable) {
   auto slow = MakeSlowServable(/*delay_ms=*/50);
   BatchServer server(options);
 
-  std::vector<std::future<Forecasts>> admitted;
+  // The first of 16 submits runs on a helper thread, which then holds
+  // the only runner slot; the other 15 return at once.
+  std::vector<std::future<Forecasts>> admitted(1);
+  const std::jthread runner = StartRunner(server, slow, Ones(1, 1),
+                                          &admitted.front());
   uint64_t rejected = 0;
   // 16 instantaneous submits against 1 in-flight + 4 queue slots: at
-  // least one must be shed (the worker can't drain 16×50ms instantly).
-  for (int i = 0; i < 16; ++i) {
+  // least one must be shed (the runner can't drain 16×50ms instantly).
+  for (int i = 1; i < 16; ++i) {
     auto submitted = SubmitFuture(server, slow, Ones(1, 1));
     if (submitted.ok()) {
       admitted.push_back(std::move(*submitted));
@@ -474,10 +648,12 @@ TEST(BatchServerTest, EstimatedQueueWaitTracksServiceTime) {
   EXPECT_EQ(server.EstimatedQueueWaitUs(), 0.0);       // no samples yet
   ASSERT_TRUE(Forecast(server, slow, Ones(1, 1)).ok());  // seeds the EMA
 
-  // Park the worker and stack the queue; the estimate must now predict a
+  // Park the runner and stack the queue; the estimate must now predict a
   // wait in the order of queue_depth × ~20ms.
-  std::vector<std::future<Forecasts>> futures;
-  for (int i = 0; i < 6; ++i) {
+  std::vector<std::future<Forecasts>> futures(1);
+  const std::jthread runner =
+      StartRunner(server, slow, Ones(1, 1), &futures.front());
+  for (int i = 1; i < 6; ++i) {
     auto submitted = SubmitFuture(server, slow, Ones(1, 1));
     ASSERT_TRUE(submitted.ok());
     futures.push_back(std::move(*submitted));
@@ -505,7 +681,7 @@ TEST(BatchServerTest, ShutdownDrainsAndRejectsNewWork) {
     futures.push_back(std::move(*submitted));
   }
   server.Shutdown();
-  // Every accepted request was answered before the workers exited.
+  // Every accepted request was answered before Shutdown returned.
   for (auto& future : futures) EXPECT_TRUE(future.get().ok());
   EXPECT_EQ(server.Stats().requests_completed, queries.rows());
   EXPECT_EQ(server.Stats().requests_abandoned, 0u);
@@ -516,7 +692,7 @@ TEST(BatchServerTest, ShutdownDrainsAndRejectsNewWork) {
 }
 
 TEST(BatchServerTest, ShutdownDeadlineNeverSilentlyDropsRequests) {
-  // Regression for the drain-under-deadline contract: with a worker too
+  // Regression for the drain-under-deadline contract: with a runner too
   // slow to drain the backlog inside shutdown_drain_ms, leftover
   // requests must resolve with an explicit kUnavailable — every callback
   // fires, nothing hangs, and completed + abandoned accounts for every
@@ -528,8 +704,10 @@ TEST(BatchServerTest, ShutdownDeadlineNeverSilentlyDropsRequests) {
   auto slow = MakeSlowServable(/*delay_ms=*/50);
   BatchServer server(options);
 
-  std::vector<std::future<Forecasts>> futures;
-  for (int i = 0; i < 12; ++i) {
+  std::vector<std::future<Forecasts>> futures(1);
+  const std::jthread runner =
+      StartRunner(server, slow, Ones(1, 1), &futures.front());
+  for (int i = 1; i < 12; ++i) {
     auto submitted = SubmitFuture(server, slow, Ones(1, 1));
     ASSERT_TRUE(submitted.ok());
     futures.push_back(std::move(*submitted));
@@ -551,6 +729,53 @@ TEST(BatchServerTest, ShutdownDeadlineNeverSilentlyDropsRequests) {
   }
   EXPECT_EQ(served + abandoned, futures.size());
   EXPECT_GT(abandoned, 0u);  // 12×50ms cannot drain in 60ms
+  const BatchServerStats stats = server.Stats();
+  EXPECT_EQ(stats.requests_completed, served);
+  EXPECT_EQ(stats.requests_abandoned, abandoned);
+}
+
+TEST(BatchServerTest, ShutdownDuringARunningBatchAnswersEveryRequest) {
+  // The runner is mid-batch when Shutdown starts, with three requests
+  // queued behind it and a drain budget far shorter than one batch. The
+  // running batch still completes, what is left queued at the deadline
+  // fails with kUnavailable, and every callback has fired when Shutdown
+  // returns.
+  BatchServerOptions options;
+  options.num_threads = 1;
+  options.max_batch = 1;
+  options.shutdown_drain_ms = 10;
+  auto slow = MakeSlowServable(/*delay_ms=*/100);
+  BatchServer server(options);
+  std::vector<std::future<Forecasts>> futures(1);
+  const std::jthread runner =
+      StartRunner(server, slow, Ones(1, 1), &futures.front());
+  for (int i = 0; i < 3; ++i) {
+    auto submitted = SubmitFuture(server, slow, Ones(1, 1));
+    ASSERT_TRUE(submitted.ok());
+    futures.push_back(std::move(*submitted));
+  }
+  server.Shutdown();
+
+  for (std::future<Forecasts>& future : futures) {
+    ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+              std::future_status::ready);
+  }
+  Forecasts mid_batch = futures.front().get();
+  ASSERT_TRUE(mid_batch.ok());
+  EXPECT_EQ(*mid_batch, std::vector<double>{7.0});
+  uint64_t served = 1;
+  uint64_t abandoned = 0;
+  for (size_t i = 1; i < futures.size(); ++i) {
+    Forecasts got = futures[i].get();
+    if (got.ok()) {
+      EXPECT_EQ(*got, std::vector<double>{7.0});
+      ++served;
+    } else {
+      EXPECT_EQ(got.status().code(), StatusCode::kUnavailable);
+      ++abandoned;
+    }
+  }
+  EXPECT_GT(abandoned, 0u);  // 3×100ms cannot drain in 10ms
   const BatchServerStats stats = server.Stats();
   EXPECT_EQ(stats.requests_completed, served);
   EXPECT_EQ(stats.requests_abandoned, abandoned);

@@ -21,7 +21,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// Fixed-delay, fixed-value regressor: holds a shard's single worker
+/// Fixed-delay, fixed-value regressor: holds a shard's single runner
 /// busy so queue-bound admission paths actually trigger.
 class SlowRegressor : public ml::Regressor {
  public:
@@ -76,6 +76,44 @@ int ShardCount(const JsonValue& statsz, size_t index, const char* name) {
   if (shards == nullptr || index >= shards->array().size()) return -1;
   Result<double> value = shards->array()[index].GetNumber(name);
   return value.ok() ? static_cast<int>(*value) : -1;
+}
+
+/// Field `name` of shard `index`'s BatchServer statsz, or -1.
+int ServerCount(const JsonValue& statsz, size_t index, const char* name) {
+  const JsonValue* shards = statsz.Find("shards");
+  if (shards == nullptr || index >= shards->array().size()) return -1;
+  const JsonValue* server = shards->array()[index].Find("server");
+  if (server == nullptr) return -1;
+  Result<double> value = server->GetNumber(name);
+  return value.ok() ? static_cast<int>(*value) : -1;
+}
+
+/// Submits one 1-row `key` request from a new thread and returns once its
+/// batch is running: the row was admitted and has left the shard queue.
+/// That thread is then the shard's runner. It serves whatever the test
+/// queues behind its batch before its Submit returns. The returned
+/// thread joins when it goes out of scope.
+std::jthread StartRunner(ShardedRouter& router, const serve::ModelKey& key,
+                         serve::BatchServer::Callback done) {
+  const size_t shard = router.ShardFor(key);
+  const int admitted = ShardCount(Statsz(router), shard, "admitted") + 1;
+  std::jthread runner([&router, key, shard, done = std::move(done)]() mutable {
+    EXPECT_TRUE(router.Submit(shard, key, Ones(1, 1), std::move(done)).ok());
+  });
+  // Polls every 100 µs for at least 10 s.
+  for (int poll = 0;; ++poll) {
+    const JsonValue statsz = Statsz(router);
+    if (ShardCount(statsz, shard, "admitted") >= admitted &&
+        ServerCount(statsz, shard, "queue_depth") == 0) {
+      break;
+    }
+    if (poll == 100000) {
+      ADD_FAILURE() << "the runner's batch never started";
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  return runner;
 }
 
 class ShardRouterTest : public ::testing::Test {
@@ -187,8 +225,9 @@ TEST_F(ShardRouterTest, UnknownKeyIsNotFound) {
   Result<std::unique_ptr<ShardedRouter>> router =
       ShardedRouter::Create(registry_.get(), ShardedRouterOptions{});
   ASSERT_TRUE(router.ok());
-  Status status = (*router)->Submit({"2031", 7, "rf"}, Ones(1, 1),
-                                    [](Forecasts) {});
+  const serve::ModelKey unknown{"2031", 7, "rf"};
+  Status status = (*router)->Submit((*router)->ShardFor(unknown), unknown,
+                                    Ones(1, 1), [](Forecasts) {});
   EXPECT_EQ(status.code(), StatusCode::kNotFound);
 }
 
@@ -221,12 +260,15 @@ TEST_F(ShardRouterTest, SaturatedShardShedsWhileOthersServe) {
 
   const JsonValue before = Statsz(router);
   std::atomic<int> slow_done{0};
-  int admitted = 0;
+  auto count_slow = [&slow_done](Forecasts) { slow_done.fetch_add(1); };
+  // The first of 12 slow submits runs on a helper thread, which then
+  // holds shard 0's only runner slot; the other 11 return at once.
+  const std::jthread runner = StartRunner(router, slow_key, count_slow);
+  int admitted = 1;
   int shed = 0;
-  for (int i = 0; i < 12; ++i) {
-    Status status = router.Submit(
-        slow_key, Ones(1, 1),
-        [&slow_done](Forecasts) { slow_done.fetch_add(1); });
+  for (int i = 1; i < 12; ++i) {
+    Status status = router.Submit(router.ShardFor(slow_key), slow_key,
+                                  Ones(1, 1), count_slow);
     if (status.ok()) {
       ++admitted;
     } else {
@@ -244,7 +286,7 @@ TEST_F(ShardRouterTest, SaturatedShardShedsWhileOthersServe) {
     std::promise<Forecasts> promise;
     std::future<Forecasts> future = promise.get_future();
     ASSERT_TRUE(router
-                    .Submit(fast_key, Ones(1, 1),
+                    .Submit(router.ShardFor(fast_key), fast_key, Ones(1, 1),
                             [&promise](Forecasts r) {
                               promise.set_value(std::move(r));
                             })
@@ -293,10 +335,11 @@ TEST_F(ShardRouterTest, MultiRowRequestIsAdmittedWholeOrShedWhole) {
   auto count = [&done](Forecasts result) {
     if (result.ok()) done.fetch_add(static_cast<int>(result->size()));
   };
-  ASSERT_TRUE(router.Submit(slow_key, Ones(1, 1), count).ok());
-  ASSERT_TRUE(router.Submit(slow_key, Ones(3, 1), count).ok());
-  // 3 queued rows (4 if the worker has not picked the first yet).
-  EXPECT_EQ(router.Submit(slow_key, Ones(2, 1), count).code(),
+  const size_t shard = router.ShardFor(slow_key);
+  const std::jthread runner = StartRunner(router, slow_key, count);
+  ASSERT_TRUE(router.Submit(shard, slow_key, Ones(3, 1), count).ok());
+  // 3 queued rows behind the running one.
+  EXPECT_EQ(router.Submit(shard, slow_key, Ones(2, 1), count).code(),
             StatusCode::kUnavailable);
 
   router.Shutdown();
@@ -326,7 +369,9 @@ TEST_F(ShardRouterTest, RequestLargerThanTheQueueIsInvalid) {
   ASSERT_TRUE(created.ok());
   ShardedRouter& router = **created;
   const JsonValue before = Statsz(router);
-  EXPECT_EQ(router.Submit(key, Ones(3, 1), [](Forecasts) {}).code(),
+  EXPECT_EQ(router.Submit(router.ShardFor(key), key, Ones(3, 1),
+                          [](Forecasts) {})
+                .code(),
             StatusCode::kInvalidArgument);
   const JsonValue after = Statsz(router);
   const size_t shard = router.ShardFor(key);
@@ -358,7 +403,7 @@ TEST_F(ShardRouterTest, QueueWaitSloShedsBeforeQueueFills) {
   std::promise<Forecasts> first;
   std::future<Forecasts> first_done = first.get_future();
   ASSERT_TRUE(router
-                  .Submit(slow_key, Ones(1, 1),
+                  .Submit(router.ShardFor(slow_key), slow_key, Ones(1, 1),
                           [&first](Forecasts r) {
                             first.set_value(std::move(r));
                           })
@@ -369,11 +414,15 @@ TEST_F(ShardRouterTest, QueueWaitSloShedsBeforeQueueFills) {
   // predicted wait far over the 1us SLO — a burst must shed.
   const JsonValue before = Statsz(router);
   std::atomic<int> done{0};
-  int admitted = 0;
+  auto count_done = [&done](Forecasts) { done.fetch_add(1); };
+  // The first of 12 submits runs on a helper thread, which then holds
+  // the shard's only runner slot; the other 11 return at once.
+  const std::jthread runner = StartRunner(router, slow_key, count_done);
+  int admitted = 1;
   int shed = 0;
-  for (int i = 0; i < 12; ++i) {
-    Status status = router.Submit(slow_key, Ones(1, 1),
-                                  [&done](Forecasts) { done.fetch_add(1); });
+  for (int i = 1; i < 12; ++i) {
+    Status status = router.Submit(router.ShardFor(slow_key), slow_key,
+                                  Ones(1, 1), count_done);
     if (status.ok()) {
       ++admitted;
     } else {

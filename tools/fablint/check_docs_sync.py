@@ -10,9 +10,13 @@ Two checks, both run by ctest (`fablint_docs_sync`) and the CI fablint job:
   documenting a rule that was renamed or removed) fails.
 - Code names. Every `ns::Name` inside a backticked span of README.md,
   DESIGN.md or PAPER.md (the files next to --readme), where `ns` is one
-  of the library's namespaces, must end in an identifier that still
-  appears under src/ (next to the docs). A doc that names a deleted
-  function or type fails.
+  of the library's namespaces, must still name code under src/ (next to
+  the docs). A lone name must appear there as an identifier. A
+  `Class::member` name resolves against that class: `member` must be
+  declared in the body of a class, struct or enum named `Class` (or of
+  one of its bases), or `Class::member` must appear in the code, as an
+  out-of-line definition does. So a doc that names a deleted function or
+  type fails, even when another class still has a member of that name.
 
 Usage: check_docs_sync.py --fablint <binary> --readme <README.md>
 """
@@ -60,25 +64,88 @@ def code_names(path):
     return names
 
 
-def source_identifiers(src_dir):
-    idents = set()
-    for root, _, files in os.walk(src_dir):
-        for name in files:
+# Comments and string or character literals, blanked before the code is
+# searched: a member named only in a comment is not declared.
+_NOT_CODE = re.compile(
+    r"//[^\n]*|/\*.*?\*/|\"(?:\\.|[^\"\\\n])*\"|'(?:\\.|[^'\\\n])*'",
+    re.DOTALL)
+
+
+def source_code(src_dir):
+    """Every file under src/, comments and literals blanked, joined."""
+    texts = []
+    for root, _, files in sorted(os.walk(src_dir)):
+        for name in sorted(files):
             with open(os.path.join(root, name), encoding="utf-8",
                       errors="replace") as fh:
-                idents.update(_IDENT.findall(fh.read()))
-    return idents
+                texts.append(_NOT_CODE.sub(" ", fh.read()))
+    return "\n".join(texts)
+
+
+class SourceIndex:
+    """Answers "is this name still in src/?" for the code-name check."""
+
+    def __init__(self, code):
+        self.code = code
+        self.idents = set(_IDENT.findall(code))
+        self.namespaces = set(_NAMESPACES)
+        for match in re.finditer(r"\bnamespace\s+([\w:]+)", code):
+            self.namespaces.update(match.group(1).split("::"))
+        self._bodies = {}
+
+    def bodies(self, name):
+        """(body identifiers, base names) per definition of type `name`."""
+        if name not in self._bodies:
+            # The keyword, then attributes or macros (no ':' or braces),
+            # the name, an optional base clause, and the opening brace.
+            head = re.compile(
+                r"\b(?:class|struct|union|enum)\b[^;{}:]*?\b" +
+                re.escape(name) + r"\s*(?:final\b)?\s*(:[^;{}]*)?\{")
+            found = []
+            for match in head.finditer(self.code):
+                depth, end = 1, match.end()
+                while depth and end < len(self.code):
+                    depth += {"{": 1, "}": -1}.get(self.code[end], 0)
+                    end += 1
+                bases = _IDENT.findall(match.group(1) or "")
+                found.append((set(_IDENT.findall(self.code[match.end():end])),
+                              bases))
+            self._bodies[name] = found
+        return self._bodies[name]
+
+    def has_member(self, cls, member, depth=0):
+        if re.search(r"\b" + re.escape(cls) + r"\s*::\s*" +
+                     re.escape(member) + r"\b", self.code):
+            return True
+        for body, bases in self.bodies(cls):
+            if member in body:
+                return True
+            if depth < 4 and any(self.has_member(base, member, depth + 1)
+                                 for base in bases if base not in
+                                 ("public", "protected", "private",
+                                  "virtual")):
+                return True
+        return False
+
+    def resolves(self, name):
+        parts = name.split("::")
+        while len(parts) > 1 and parts[0] in self.namespaces:
+            parts.pop(0)
+        if len(parts) == 1:
+            return parts[0] in self.idents
+        return all(self.has_member(cls, member)
+                   for cls, member in zip(parts, parts[1:]))
 
 
 def stale_code_names(doc_dir):
-    """Doc references whose last component no longer appears in src/."""
-    idents = source_identifiers(os.path.join(doc_dir, "src"))
+    """Doc references that no longer name code under src/."""
+    index = SourceIndex(source_code(os.path.join(doc_dir, "src")))
     checked = 0
     stale = []
     for doc in _DOCS:
         for lineno, name in code_names(os.path.join(doc_dir, doc)):
             checked += 1
-            if name.rsplit("::", 1)[1] not in idents:
+            if not index.resolves(name):
                 stale.append(f"{doc}:{lineno}: `{name}`")
     return checked, stale
 
